@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exprparse
 from .errors import ContractError, DomainError
-from .numerics import Grid, default_grid
+from .numerics import Grid, default_grid, first_witness, interval_at
 
 __all__ = [
     "UnitFunction",
@@ -123,26 +123,19 @@ def bounded_rational() -> UnitFunction:
 
 def _check_samples(name: str, values: np.ndarray, points: np.ndarray, *,
                    increasing: bool, strictly: bool, bijection: bool) -> None:
-    bad = (values < 0.0) | (values > 1.0)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    w = first_witness(values, (values < 0.0) | (values > 1.0))
+    if w is not None:
         raise ContractError(
-            f"{name}: value {float(values[i])!r} at x={float(points[i])!r} "
+            f"{name}: value {float(values[w])!r} at x={float(points[w])!r} "
             f"falls outside [0, 1]"
         )
     diffs = np.diff(values)
-    if (increasing or bijection) and np.any(diffs < 0.0):
-        i = int(np.argmax(diffs < 0.0))
-        raise ContractError(
-            f"{name}: declared increasing but decreases on "
-            f"({float(points[i])!r}, {float(points[i + 1])!r})"
-        )
-    if (strictly or bijection) and np.any(diffs <= 0.0):
-        i = int(np.argmax(diffs <= 0.0))
-        raise ContractError(
-            f"{name}: declared strictly increasing but is flat on "
-            f"({float(points[i])!r}, {float(points[i + 1])!r})"
-        )
+    for wanted, bad, claim in ((increasing or bijection, diffs < 0.0, "increasing but decreases"),
+                               (strictly or bijection, diffs <= 0.0,
+                                "strictly increasing but is flat")):
+        w = interval_at(points, first_witness(diffs, bad)) if wanted else None
+        if w is not None:
+            raise ContractError(f"{name}: declared {claim} on ({w[0]!r}, {w[1]!r})")
     if bijection and (values[0] != 0.0 or values[-1] != 1.0):
         raise ContractError(
             f"{name}: declared continuous_bijection but endpoints are "

@@ -248,19 +248,27 @@ def load_grid_csv(path: str) -> AggregationFunction:
 
     Defined exactly at the dumped sample points; shortest round-trip float
     formatting makes the tabulated values agree with the source bit for
-    bit.
+    bit. A malformed row, and evaluation at a point the dump does not
+    hold, raise QhaggError.
     """
     table: dict[tuple[float, float], float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "x,y,value":
             raise QhaggError(f"unexpected CSV header {header!r} in {path}")
-        for line in fh:
-            xs, ys, vs = line.strip().split(",")
-            table[(float(xs), float(ys))] = float(vs)
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                xs, ys, vs = line.strip().split(",")
+                table[(float(xs), float(ys))] = float(vs)
+            except ValueError:
+                raise QhaggError(f"{path} line {lineno}: expected x,y,value, "
+                                 f"got {line.strip()!r}") from None
 
     def lookup(x, y):
-        return table[(float(x), float(y))]
+        try:
+            return table[(float(x), float(y))]
+        except KeyError:
+            raise QhaggError(f"{path} has no value at ({float(x)!r}, {float(y)!r})") from None
 
     return AggregationFunction(evaluator=np.vectorize(lookup, otypes=[float]),
                                provenance="tabulated", name=f"csv:{path}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import AggregationFunction, UnitFunction, diagonal
 from .errors import ContractError, DomainError
-from .numerics import Grid, bisect_increasing, default_grid
+from .numerics import Grid, bisect_increasing, default_grid, first_witness, interval_at
 
 __all__ = [
     "GeneratorTriple",
@@ -111,34 +111,24 @@ def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
     """
     g = grid or default_grid()
     p = g.points
-    checks: list[ConditionCheck] = []
+
+    def endpoint(name, x, value, target):
+        ok = abs(float(value) - target) <= tol
+        return ConditionCheck(name, ok, None if ok else (x, float(value)))
 
     fv = np.asarray(t.f.evaluator(p), dtype=float)
-    checks.append(ConditionCheck("f(0)=0", abs(float(fv[0])) <= tol,
-                                 None if abs(float(fv[0])) <= tol else (0.0, float(fv[0]))))
-    checks.append(ConditionCheck("f(1)=1", abs(float(fv[-1]) - 1.0) <= tol,
-                                 None if abs(float(fv[-1]) - 1.0) <= tol else (1.0, float(fv[-1]))))
+    checks = [endpoint("f(0)=0", 0.0, fv[0], 0.0), endpoint("f(1)=1", 1.0, fv[-1], 1.0)]
     fd = np.diff(fv)
-    f_strict = not np.any(fd <= 0.0)
-    fw = None
-    if not f_strict:
-        i = int(np.argmax(fd <= 0.0))
-        fw = (float(p[i]), float(p[i + 1]))
-    checks.append(ConditionCheck("f strictly increasing", f_strict, fw))
-    f_bijective_evidence = checks[0].passed and checks[1].passed and f_strict
+    fw = interval_at(p, first_witness(fd, fd <= 0.0))
+    checks.append(ConditionCheck("f strictly increasing", fw is None, fw))
+    f_bijective_evidence = all(c.passed for c in checks)
 
     for label, u in (("g", t.g), ("h", t.h)):
         uv = np.asarray(u.evaluator(p), dtype=float)
-        ok_end = abs(float(uv[-1]) - 1.0) <= tol
-        checks.append(ConditionCheck(f"{label}(1)=1", ok_end,
-                                     None if ok_end else (1.0, float(uv[-1]))))
+        checks.append(endpoint(f"{label}(1)=1", 1.0, uv[-1], 1.0))
         ud = np.diff(uv)
-        mono = not np.any(ud < -tol)
-        uw = None
-        if not mono:
-            i = int(np.argmax(ud < -tol))
-            uw = (float(p[i]), float(p[i + 1]))
-        checks.append(ConditionCheck(f"{label} increasing", mono, uw))
+        uw = interval_at(p, first_witness(ud, ud < -tol))
+        checks.append(ConditionCheck(f"{label} increasing", uw is None, uw))
 
     # ratio conditions need f_inv; without bijection evidence they are
     # reported failed rather than computed on a non-invertible f
@@ -149,15 +139,11 @@ def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
             vals = np.asarray(u.evaluator(xs), dtype=float)
             ratio = np.asarray(f_inv(np.clip(vals, 0.0, 1.0)), dtype=float) / xs
             rd = np.diff(ratio)
-            ok = not np.any(rd > tol)
-            w = None
-            if not ok:
-                i = int(np.argmax(rd > tol))
-                w = (float(xs[i]), float(xs[i + 1]))
+            w = first_witness(rd, rd > tol)
             checks.append(ConditionCheck(
-                f"f_inv({label}(x))/x nonincreasing on (0,1]", ok, w,
-                detail="" if ok else
-                f"ratio rises {float(ratio[i])!r} -> {float(ratio[i + 1])!r}"))
+                f"f_inv({label}(x))/x nonincreasing on (0,1]", w is None, interval_at(xs, w),
+                detail="" if w is None else
+                f"ratio rises {float(ratio[w[0]])!r} -> {float(ratio[w[0] + 1])!r}"))
     else:
         for label in ("h", "g"):
             checks.append(ConditionCheck(
@@ -205,6 +191,31 @@ def from_triple(t: GeneratorTriple, *, validate: bool = True,
     )
 
 
+def flat_formula(alpha: float, beta: float):
+    """Evaluator of the flat class: 1 on (0,1]^2, alpha on x = 0, beta on y = 0."""
+
+    def evaluate(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.where((x > 0.0) & (y > 0.0), 1.0, np.where(x == 0.0, alpha, beta))
+        return np.where((x == 0.0) & (y == 0.0), 0.0, out)
+
+    return evaluate
+
+
+def boundary_formula(g_ev, h_ev):
+    """Evaluator of the boundary class: 0 on [0,1)^2, g on x = 1, h on y = 1."""
+
+    def evaluate(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.where((x < 1.0) & (y < 1.0), 0.0,
+                       np.where(x == 1.0, g_ev(y), h_ev(x)))
+        return np.where((x == 1.0) & (y == 1.0), 1.0, out)
+
+    return evaluate
+
+
 def class_flat(alpha: float, beta: float) -> AggregationFunction:
     """The scaling-indifferent family: 1 on (0,1]^2, alpha/beta on the axes.
 
@@ -213,15 +224,8 @@ def class_flat(alpha: float, beta: float) -> AggregationFunction:
     """
     if not (0.0 <= alpha <= 1.0) or not (0.0 <= beta <= 1.0):
         raise DomainError(f"alpha and beta must lie in [0, 1], got ({alpha}, {beta})")
-
-    def evaluate(x, y, a=float(alpha), b=float(beta)):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.where((x > 0.0) & (y > 0.0), 1.0, np.where(x == 0.0, a, b))
-        return np.where((x == 0.0) & (y == 0.0), 0.0, out)
-
     return AggregationFunction(
-        evaluator=evaluate,
+        evaluator=flat_formula(float(alpha), float(beta)),
         provenance="class-2",
         name=f"flat(alpha={alpha:g}, beta={beta:g})",
     )
@@ -243,25 +247,13 @@ def class_boundary(g: UnitFunction, h: UnitFunction,
             raise ContractError(f"class_boundary requires {label}(1)=1, got {end!r}")
         vals = np.asarray(u.evaluator(gd.points), dtype=float)
         d = np.diff(vals)
-        if np.any(d < 0.0):
-            i = int(np.argmax(d < 0.0))
-            raise ContractError(
-                f"class_boundary: {label} decreases on "
-                f"({float(gd.points[i])!r}, {float(gd.points[i + 1])!r})")
-        if np.any((vals < 0.0) | (vals > 1.0)):
+        w = interval_at(gd.points, first_witness(d, d < 0.0))
+        if w is not None:
+            raise ContractError(f"class_boundary: {label} decreases on ({w[0]!r}, {w[1]!r})")
+        if first_witness(vals, (vals < 0.0) | (vals > 1.0)) is not None:
             raise ContractError(f"class_boundary: {label} leaves [0, 1] on the grid")
-
-    g_ev, h_ev = g.evaluator, h.evaluator
-
-    def evaluate(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.where((x < 1.0) & (y < 1.0), 0.0,
-                       np.where(x == 1.0, g_ev(y), h_ev(x)))
-        return np.where((x == 1.0) & (y == 1.0), 1.0, out)
-
     return AggregationFunction(
-        evaluator=evaluate,
+        evaluator=boundary_formula(g.evaluator, h.evaluator),
         provenance="class-3",
         name=f"boundary(g={g.name}, h={h.name})",
     )

@@ -89,6 +89,25 @@ def default_grid() -> Grid:
     return make_grid(DEFAULT_GRID_N)
 
 
+def first_witness(values, violation) -> tuple[int, ...] | None:
+    """Index of the first offending sample in C order, or None.
+
+    ``violation`` is a boolean mask shaped like ``values``. Non-finite
+    samples count as violations whatever the mask says, so a NaN never
+    passes a check by failing every comparison. On a grid sampled as
+    ``V[i, j] = A(x_i, y_j)`` C order runs through y fastest.
+    """
+    bad = np.asarray(violation) | ~np.isfinite(values)
+    if not bad.any():
+        return None
+    return tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def interval_at(points, w) -> tuple[float, float] | None:
+    """Grid interval (points[i], points[i+1]) of a first_witness index into np.diff."""
+    return None if w is None else (float(points[w[0]]), float(points[w[0] + 1]))
+
+
 def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: float = 1.0):
     """Solve fn(x) = y on [lo, hi] for a nondecreasing elementwise fn.
 

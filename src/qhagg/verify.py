@@ -23,10 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AggregationFunction, UnitFunction, diagonal, power_function
+from .algebra import AggregationFunction, UnitFunction, power_function
+from .construct import boundary_formula, flat_formula, triple_of
 from .errors import ContractError, DomainError
 from .exprparse import eval_expr, parse_expr
-from .numerics import Grid, bisect_increasing, default_grid, ext_mul
+from .numerics import Grid, bisect_increasing, default_grid, ext_mul, first_witness, interval_at
 
 __all__ = [
     "PsiSpec",
@@ -213,13 +214,10 @@ class PhiSpec:
             raise ContractError(
                 f"phi expression {text!r}: phi(0) must be 0, got {float(vals[0])!r}")
         d = np.diff(vals)
-        if np.any(d <= 0.0):
-            i = int(np.argmax(d <= 0.0))
+        w = interval_at(sample_pts, first_witness(d, d <= 0.0))
+        if w is not None:
             raise ContractError(
-                f"phi expression {text!r} is not strictly increasing on "
-                f"({float(sample_pts[i])!r}, {float(sample_pts[i + 1])!r})")
-        if np.any(vals < 0.0):
-            raise ContractError(f"phi expression {text!r} takes negative values")
+                f"phi expression {text!r} is not strictly increasing on ({w[0]!r}, {w[1]!r})")
 
         if unbounded:
             def evaluator(x, t=tree):
@@ -345,9 +343,16 @@ def check_aggregation(A: AggregationFunction, grid: Grid | None = None,
     (x-direction violations scanned before y-direction).
     """
     g = grid or default_grid()
-    p = g.points
-    V = np.asarray(A.evaluator(p[:, None], p[None, :]), dtype=float)
+    return _aggregation_report(_sample(A.evaluator, g.points), g, tol)
 
+
+def _sample(fn, p) -> np.ndarray:
+    """fn on the base grid: ``V[i, j] = fn(p[i], p[j])``."""
+    return np.asarray(fn(p[:, None], p[None, :]), dtype=float)
+
+
+def _aggregation_report(V: np.ndarray, g: Grid, tol: float) -> AggregationReport:
+    p = g.points
     dev00 = abs(float(V[0, 0]))
     dev11 = abs(float(V[-1, -1]) - 1.0)
     boundary_ok = dev00 <= tol and dev11 <= tol
@@ -362,39 +367,29 @@ def check_aggregation(A: AggregationFunction, grid: Grid | None = None,
                          float(np.max(-dy, initial=0.0)))
     monotone_ok = worst_decrease <= tol
 
+    def at(i, j):
+        return (float(p[i]), float(p[j]), float(V[i, j]))
+
     witness = None
     reason = ""
     if not boundary_ok:
-        if dev00 > tol:
-            witness = ((0.0, 0.0, float(V[0, 0])),)
-            reason = f"A(0,0)={float(V[0, 0])!r}, expected 0"
-        else:
-            witness = ((1.0, 1.0, float(V[-1, -1])),)
-            reason = f"A(1,1)={float(V[-1, -1])!r}, expected 1"
+        k, want = (0, 0) if dev00 > tol else (-1, 1)
+        witness = (at(k, k),)
+        reason = f"A({want},{want})={witness[0][2]!r}, expected {want}"
     elif not range_ok:
-        idx = np.argwhere(over > tol)[0]
-        i, j = int(idx[0]), int(idx[1])
-        witness = ((float(p[i]), float(p[j]), float(V[i, j])),)
-        reason = f"A({float(p[i])!r},{float(p[j])!r})={float(V[i, j])!r} outside [0,1]"
+        witness = (at(*first_witness(V, over > tol)),)
+        reason = "A({!r},{!r})={!r} outside [0,1]".format(*witness[0])
     elif not monotone_ok:
-        bad_x = np.argwhere(dx < -tol)
-        bad_y = np.argwhere(dy < -tol)
-        if bad_x.size:
-            i, j = int(bad_x[0][0]), int(bad_x[0][1])
-            witness = ((float(p[i]), float(p[j]), float(V[i, j])),
-                       (float(p[i + 1]), float(p[j]), float(V[i + 1, j])))
-            reason = (f"decreasing in x: A({float(p[i + 1])!r},{float(p[j])!r})"
-                      f"={float(V[i + 1, j])!r} < A({float(p[i])!r},{float(p[j])!r})"
-                      f"={float(V[i, j])!r}")
-        else:
-            i, j = int(bad_y[0][0]), int(bad_y[0][1])
-            witness = ((float(p[i]), float(p[j]), float(V[i, j])),
-                       (float(p[i]), float(p[j + 1]), float(V[i, j + 1])))
-            reason = (f"decreasing in y: A({float(p[i])!r},{float(p[j + 1])!r})"
-                      f"={float(V[i, j + 1])!r} < A({float(p[i])!r},{float(p[j])!r})"
-                      f"={float(V[i, j])!r}")
+        # the whole x-direction is scanned before the y-direction
+        w = first_witness(dx, dx < -tol)
+        axis, (i, j) = ("x", w) if w is not None else ("y", first_witness(dy, dy < -tol))
+        witness = (at(i, j), at(i + 1, j) if axis == "x" else at(i, j + 1))
+        reason = "decreasing in {}: A({!r},{!r})={!r} < A({!r},{!r})={!r}".format(
+            axis, *witness[1], *witness[0])
 
-    max_violation = max(dev00, dev11, max(range_excess, 0.0), max(worst_decrease, 0.0))
+    # a non-finite sample is a range violation of unbounded size
+    max_violation = (max(dev00, dev11, max(range_excess, 0.0), max(worst_decrease, 0.0))
+                     if np.isfinite(V).all() else np.inf)
     passed = boundary_ok and range_ok and monotone_ok
     return AggregationReport(passed=passed, boundary_ok=boundary_ok,
                              monotone_ok=monotone_ok, range_ok=range_ok,
@@ -425,29 +420,43 @@ def check_quasi_homogeneity(A: AggregationFunction, phi: PhiSpec, psi: PsiSpec,
     scaling law itself.
     """
     g = grid or default_grid()
-    tol = _resolve_qh_tol(tol, phi)
+    return _sweep(A.evaluator, _sample(A.evaluator, g.points), _scaling_rhs(phi, psi), g,
+                  _resolve_qh_tol(tol, phi),
+                  f"quasi-homogeneity psi={psi.describe()} phi={phi.name}")
+
+
+def _scaling_rhs(phi: PhiSpec, psi: PsiSpec):
+    """``rhs(lam, V) = phi_inv(psi(lam) * phi(V))``; multiplier 1 gives V itself."""
+
+    def rhs(L, V):
+        S = np.asarray(psi(L), dtype=float)
+        M = ext_mul(S, np.asarray(phi.evaluator(V), dtype=float)[None, :, :])
+        return np.where(S == 1.0, V[None, :, :], np.asarray(phi.inverse(M), dtype=float))
+
+    return rhs
+
+
+def _order_rhs(k: float):
+    """``rhs(lam, base) = lam^k * base``."""
+    return lambda L, base: np.power(L, k) * base[None, :, :]
+
+
+def _sweep(fn, base: np.ndarray, rhs, g: Grid, tol: float, label: str = "") -> ResidualReport:
+    """Max of ``|fn(lam x, lam y) - rhs(lam, base)|`` over the grid cubed.
+
+    ``base`` is the caller's sample of the base grid (see ``_sample``) and
+    ``rhs`` maps the column of lam values, shaped (n+1, 1, 1), and ``base``
+    to the expected cube. The witness is the first argmax in C order.
+    """
     p = g.points
-
-    V = np.asarray(A.evaluator(p[:, None], p[None, :]), dtype=float)
-    W = np.asarray(phi.evaluator(V), dtype=float)
-    S = np.asarray(psi(p), dtype=float)
-
     L = p[:, None, None]
-    lhs = np.asarray(A.evaluator(L * p[None, :, None], L * p[None, None, :]),
-                     dtype=float)
-
-    M = ext_mul(S[:, None, None], W[None, :, :])
-    rhs = np.asarray(phi.inverse(M), dtype=float)
-    rhs = np.where((S == 1.0)[:, None, None], V[None, :, :], rhs)
-
-    resid = np.abs(lhs - rhs)
-    flat = int(np.argmax(resid))
-    k, i, j = np.unravel_index(flat, resid.shape)
+    lhs = np.asarray(fn(L * p[None, :, None], L * p[None, None, :]), dtype=float)
+    resid = np.abs(lhs - rhs(L, base))
+    k, i, j = np.unravel_index(int(np.argmax(resid)), resid.shape)
     max_res = float(resid[k, i, j])
-    witness = (float(p[k]), float(p[i]), float(p[j]))
     return ResidualReport(passed=max_res <= tol, max_residual=max_res,
-                          witness=witness, grid_n=g.n, tol=tol,
-                          label=f"quasi-homogeneity psi={psi.describe()} phi={phi.name}")
+                          witness=(float(p[k]), float(p[i]), float(p[j])),
+                          grid_n=g.n, tol=tol, label=label)
 
 
 def check_multiplicative(psi, grid: Grid | None = None,
@@ -463,12 +472,9 @@ def check_multiplicative(psi, grid: Grid | None = None,
     lhs = np.asarray(fn(p[:, None] * p[None, :]), dtype=float)
     rhs = F[:, None] * F[None, :]
     resid = np.abs(lhs - rhs)
-    max_res = float(np.max(resid))
-    witness = None
-    if max_res > tol:
-        idx = np.argwhere(resid > tol)[0]
-        witness = (float(p[int(idx[0])]), float(p[int(idx[1])]))
-    return MultiplicativeReport(passed=max_res <= tol, max_residual=max_res,
+    w = first_witness(resid, resid > tol)
+    witness = None if w is None else (float(p[w[0]]), float(p[w[1]]))
+    return MultiplicativeReport(passed=w is None, max_residual=float(np.max(resid)),
                                 witness=witness, grid_n=g.n, tol=tol)
 
 
@@ -483,19 +489,8 @@ def check_homogeneous_order(F, k: float, grid: Grid | None = None,
         raise DomainError(f"homogeneity order must be positive, got {k}")
     fn = F.evaluator if isinstance(F, AggregationFunction) else F
     g = grid or default_grid()
-    p = g.points
-    base = np.asarray(fn(p[:, None], p[None, :]), dtype=float)
-    L = p[:, None, None]
-    lhs = np.asarray(fn(L * p[None, :, None], L * p[None, None, :]), dtype=float)
-    rhs = np.power(L, k) * base[None, :, :]
-    resid = np.abs(lhs - rhs)
-    flat = int(np.argmax(resid))
-    kk, i, j = np.unravel_index(flat, resid.shape)
-    max_res = float(resid[kk, i, j])
-    witness = (float(p[kk]), float(p[i]), float(p[j]))
-    return ResidualReport(passed=max_res <= tol, max_residual=max_res,
-                          witness=witness, grid_n=g.n, tol=tol,
-                          label=f"homogeneity of order {k:g}")
+    return _sweep(fn, _sample(fn, g.points), _order_rhs(k), g, tol,
+                  f"homogeneity of order {k:g}")
 
 
 # ------------------------------------------------------------ psi recovery
@@ -598,7 +593,8 @@ def diagonal_bijection_check(delta: UnitFunction, grid: Grid | None = None,
 
     endpoints_ok = abs(float(d[0])) <= tol and abs(float(d[-1]) - 1.0) <= tol
     diffs = np.diff(d)
-    strict_ok = not np.any(diffs <= 0.0)
+    first_flat = first_witness(diffs, diffs <= 0.0)
+    strict_ok = first_flat is None
     jmax = int(np.argmax(diffs))
     max_jump = float(diffs[jmax])
     max_jump_at = (float(p[jmax]), float(p[jmax + 1]))
@@ -606,7 +602,7 @@ def diagonal_bijection_check(delta: UnitFunction, grid: Grid | None = None,
 
     witness = None
     if not strict_ok:
-        i = int(np.argmax(diffs <= 0.0))
+        (i,) = first_flat
         witness = (float(p[i]), float(p[i + 1]), float(d[i]), float(d[i + 1]))
     elif not endpoints_ok:
         witness = (0.0, 1.0, float(d[0]), float(d[-1]))
@@ -680,13 +676,6 @@ class ClassificationReport:
         return f"{NOT_QH} witness={self.witness} ({self.reason})"
 
 
-def _formula_witness(p, V, formula, tol):
-    resid = np.abs(V - formula)
-    idx = np.argwhere(resid > tol)
-    i, j = int(idx[0][0]), int(idx[0][1])
-    return (float(p[i]), float(p[j]), float(resid[i, j]))
-
-
 def classify(A: AggregationFunction, grid: Grid | None = None,
              tol: float = 1e-6) -> ClassificationReport:
     """Decide which canonical class the function belongs to, or refute.
@@ -706,7 +695,8 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
     Branches 2 and 3 are mutually exclusive and both preclude a bijective
     diagonal, so at most one branch can succeed. Witnesses are reported in
     deterministic grid order. The verdict is evidence relative to the grid
-    and tolerance recorded in the report.
+    and tolerance recorded in the report. A is sampled on the base grid
+    once; every check reads that sample.
     """
     g = grid or default_grid()
     if g.n < 2:
@@ -714,7 +704,8 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
             "classification needs interior grid points; use a grid with n >= 2")
     p = g.points
 
-    agg = check_aggregation(A, grid=g, tol=tol)
+    V = _sample(A.evaluator, p)
+    agg = _aggregation_report(V, g, tol)
     diagnostics = {"aggregation": agg.max_violation}
     if not agg.passed:
         w = agg.witness[-1]
@@ -723,67 +714,42 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
             reason=f"not an aggregation function: {agg.reason}",
             diagnostics=diagnostics, grid_n=g.n, tol=tol)
 
-    delta = diagonal(A)
-    d = np.asarray(delta.evaluator(p), dtype=float)
-    interior = d[1:-1]
-    V = np.asarray(A.evaluator(p[:, None], p[None, :]), dtype=float)
-    X, Y = p[:, None], p[None, :]
+    t = triple_of(A)
+    interior = np.asarray(t.f.evaluator(p), dtype=float)[1:-1]
 
     if np.all(np.abs(interior - 1.0) <= tol):
-        alpha = float(A(0.0, 1.0))
-        beta = float(A(1.0, 0.0))
-        formula = np.where((X > 0.0) & (Y > 0.0), 1.0, np.where(X == 0.0, alpha, beta))
-        formula = np.where((X == 0.0) & (Y == 0.0), 0.0, formula)
-        resid = float(np.max(np.abs(V - formula)))
-        diagnostics["class2_formula"] = resid
-        if resid <= tol:
-            return ClassificationReport(verdict=CLASS2, alpha=alpha, beta=beta,
-                                        diagnostics=diagnostics, grid_n=g.n, tol=tol)
-        qh = check_quasi_homogeneity(A, PhiSpec.identity(), PsiSpec.step_at_zero(),
-                                     grid=g, tol=tol)
-        diagnostics["scaling_law"] = qh.max_residual
-        if not qh.passed:
-            return ClassificationReport(
-                verdict=NOT_QH, witness=(*qh.witness, qh.max_residual),
-                reason="interior diagonal is 1 but the step-at-zero scaling law fails",
-                diagnostics=diagnostics, grid_n=g.n, tol=tol)
-        fx, fy, fr = _formula_witness(p, V, formula, tol)
-        return ClassificationReport(
-            verdict=NOT_QH, witness=(1.0, fx, fy, fr),
-            reason="interior diagonal is 1 but the flat-class formula fails",
-            diagnostics=diagnostics, grid_n=g.n, tol=tol)
+        alpha, beta = float(A(0.0, 1.0)), float(A(1.0, 0.0))
+        verdict, found, formula = CLASS2, {"alpha": alpha, "beta": beta}, flat_formula(alpha, beta)
+        level, psi, law, form = 1, PsiSpec.step_at_zero(), "step-at-zero", "flat-class"
+    elif np.all(np.abs(interior) <= tol):
+        verdict, found = CLASS3, {"g": t.g, "h": t.h}
+        formula = boundary_formula(t.g.evaluator, t.h.evaluator)
+        level, psi, law, form = 0, PsiSpec.step_at_one(), "step-at-one", "boundary-class"
+    else:
+        return _classify_bijective(A, V, t.f, g, tol, diagnostics)
 
-    if np.all(np.abs(interior) <= tol):
-        g_sec = UnitFunction(
-            evaluator=lambda y, ev=A.evaluator: ev(np.ones_like(np.asarray(y, float)), np.asarray(y, float)),
-            increasing=True, name=f"{A.name or A.provenance}(1,.)")
-        h_sec = UnitFunction(
-            evaluator=lambda x, ev=A.evaluator: ev(np.asarray(x, float), np.ones_like(np.asarray(x, float))),
-            increasing=True, name=f"{A.name or A.provenance}(.,1)")
-        gv = np.asarray(g_sec.evaluator(p), dtype=float)
-        hv = np.asarray(h_sec.evaluator(p), dtype=float)
-        formula = np.where((X < 1.0) & (Y < 1.0), 0.0,
-                           np.where(X == 1.0, gv[None, :], hv[:, None]))
-        formula = np.where((X == 1.0) & (Y == 1.0), 1.0, formula)
-        resid = float(np.max(np.abs(V - formula)))
-        diagnostics["class3_formula"] = resid
-        if resid <= tol:
-            return ClassificationReport(verdict=CLASS3, g=g_sec, h=h_sec,
-                                        diagnostics=diagnostics, grid_n=g.n, tol=tol)
-        qh = check_quasi_homogeneity(A, PhiSpec.identity(), PsiSpec.step_at_one(),
-                                     grid=g, tol=tol)
-        diagnostics["scaling_law"] = qh.max_residual
-        if not qh.passed:
-            return ClassificationReport(
-                verdict=NOT_QH, witness=(*qh.witness, qh.max_residual),
-                reason="interior diagonal is 0 but the step-at-one scaling law fails",
-                diagnostics=diagnostics, grid_n=g.n, tol=tol)
-        fx, fy, fr = _formula_witness(p, V, formula, tol)
+    key = f"{verdict.lower()}_formula"
+    resid = np.abs(V - formula(p[:, None], p[None, :]))
+    diagnostics[key] = float(np.max(resid))
+    if diagnostics[key] <= tol:
+        return ClassificationReport(verdict=verdict, **found,
+                                    diagnostics=diagnostics, grid_n=g.n, tol=tol)
+    qh = _sweep(A.evaluator, V, _scaling_rhs(PhiSpec.identity(), psi), g, tol)
+    diagnostics["scaling_law"] = qh.max_residual
+    if not qh.passed:
         return ClassificationReport(
-            verdict=NOT_QH, witness=(1.0, fx, fy, fr),
-            reason="interior diagonal is 0 but the boundary-class formula fails",
+            verdict=NOT_QH, witness=(*qh.witness, qh.max_residual),
+            reason=f"interior diagonal is {level} but the {law} scaling law fails",
             diagnostics=diagnostics, grid_n=g.n, tol=tol)
+    i, j = first_witness(resid, resid > tol)
+    return ClassificationReport(
+        verdict=NOT_QH, witness=(1.0, float(p[i]), float(p[j]), float(resid[i, j])),
+        reason=f"interior diagonal is {level} but the {form} formula fails",
+        diagnostics=diagnostics, grid_n=g.n, tol=tol)
 
+
+def _classify_bijective(A, V, delta, g, tol, diagnostics) -> ClassificationReport:
+    """Step 4 of ``classify``: bijective diagonal and order-1 homogeneity."""
     dbc = diagonal_bijection_check(delta, grid=g, tol=tol)
     diagnostics["diagonal_max_jump"] = dbc.max_jump
     if not dbc.passed:
@@ -803,11 +769,11 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
     delta_b = delta.declared(increasing=True, strictly_increasing=True,
                              continuous_bijection=True)
 
-    def composite(x, y, ev=A.evaluator, db=delta_b):
-        vals = np.clip(np.asarray(ev(x, y), dtype=float), 0.0, 1.0)
-        return db.invert(vals)
+    def composite(x, y):
+        # one expression, so the unclipped cube is freed before the inversion
+        return delta_b.invert(np.clip(np.asarray(A.evaluator(x, y), dtype=float), 0.0, 1.0))
 
-    hom = check_homogeneous_order(composite, 1.0, grid=g, tol=tol)
+    hom = _sweep(composite, delta_b.invert(np.clip(V, 0.0, 1.0)), _order_rhs(1.0), g, tol)
     diagnostics["order1_homogeneity"] = hom.max_residual
     if not hom.passed:
         return ClassificationReport(

@@ -1,0 +1,58 @@
+"""Inputs that used to escape as non-library exceptions or silent numbers."""
+
+import numpy as np
+import pytest
+
+from qhagg import (
+    NOT_QH,
+    QhaggError,
+    check_aggregation,
+    check_multiplicative,
+    classify,
+    make_grid,
+)
+from qhagg.algebra import AggregationFunction
+from qhagg.cli import load_grid_csv, main
+
+G10 = make_grid(10)
+
+
+def min_with_nan_hole():
+    return AggregationFunction(
+        lambda x, y: np.where((x == 0.5) & (y == 0.5), np.nan, np.minimum(x, y)),
+        provenance="min with a NaN at (0.5, 0.5)")
+
+
+class TestNonFiniteSamples:
+    def test_check_aggregation_reports_range_violation(self):
+        report = check_aggregation(min_with_nan_hole(), grid=G10)
+        assert not report.passed and not report.range_ok
+        (x, y, v), = report.witness
+        assert (x, y) == (0.5, 0.5) and np.isnan(v)
+        assert report.max_violation == np.inf
+
+    def test_classify_refutes(self):
+        report = classify(min_with_nan_hole(), grid=G10)
+        assert report.verdict == NOT_QH
+        assert report.reason.startswith("not an aggregation function")
+        assert report.witness[1:3] == (0.5, 0.5)
+
+    def test_multiplicative_failure_has_a_witness(self):
+        report = check_multiplicative(
+            lambda x: np.where(np.asarray(x) == 0.5, np.nan, x), grid=G10)
+        assert not report.passed
+        assert report.witness == (0.0, 0.5)
+
+
+class TestLoadGridCsv:
+    def test_off_grid_lookup(self, tmp_path):
+        path = tmp_path / "min.csv"
+        assert main(["grid", "--fn", "min", "--n", "4", "--out", str(path)]) == 0
+        with pytest.raises(QhaggError, match=r"no value at \(0\.0, 0\.125\)"):
+            classify(load_grid_csv(str(path)), grid=make_grid(8))
+
+    def test_malformed_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,value\n0.0,0.0,0.0\n0.0,1.0\n")
+        with pytest.raises(QhaggError, match="line 3"):
+            load_grid_csv(str(path))
