@@ -2,9 +2,9 @@
 
 Exit codes are a stable contract: 0 = pass, 1 = property failure (a check
 that ran and refuted the property, or an I/O failure), 2 = usage, parse or
-validation error. Machine-readable lines (``RESULT ...``) carry no
-timestamps and use shortest round-trip float formatting, so identical
-invocations are byte-identical.
+validation error, or a grid too large to allocate. Machine-readable lines
+(``RESULT ...``) carry no timestamps and use shortest round-trip float
+formatting, so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -340,6 +340,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except QhaggError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a grid too large to sample: numpy refuses the request up front
+        print(f"error: grid too large: {exc}", file=sys.stderr)
         return 2
 
 

@@ -128,6 +128,16 @@ class TestCheck:
         assert res.returncode == 1
         assert "RESULT fail" in res.stdout
 
+    @pytest.mark.parametrize("mode,n", [("agg", "10000000"), ("qh", "5000000")])
+    def test_oversized_grid_is_a_usage_error(self, mode, n):
+        # numpy refuses the (n+1)^2 sample up front, without allocating it
+        res = run_cli("check", "--fn", "min", "--mode", mode, "--psi", "power:c=1",
+                      "--grid", n)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: grid too large")
+        assert "Traceback" not in res.stderr
+
 
 class TestGrid:
     def test_min_n2(self):
@@ -183,6 +193,14 @@ class TestGrid:
         c = run_cli("check", "--fn", "product", "--mode", "classify", "--grid", "30")
         d = run_cli("check", "--fn", "product", "--mode", "classify", "--grid", "30")
         assert c.stdout == d.stdout
+
+    def test_oversized_grid_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "huge.csv"
+        res = run_cli("grid", "--fn", "min", "--n", "10000000", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: grid too large")
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
 
 class TestCatalogCommand:
