@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import AggregationFunction, UnitFunction, diagonal
 from .errors import ContractError, DomainError
-from .numerics import Grid, bisect_increasing, default_grid, first_witness, interval_at
+from .numerics import Grid, default_grid, first_witness, interval_at, inverse_evaluator
 
 __all__ = [
     "GeneratorTriple",
@@ -94,13 +94,6 @@ class TripleValidationReport:
         return "\n".join(lines)
 
 
-def _f_inverse(f: UnitFunction, inv_tol: float = 1e-12):
-    """Inverse evaluator for f, preferring the closed form."""
-    if f.inverse is not None:
-        return f.inverse
-    return lambda y: bisect_increasing(f.evaluator, y, tol=inv_tol)
-
-
 def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
                     tol: float = 1e-9) -> TripleValidationReport:
     """Measure every sufficiency condition of the triple construction.
@@ -133,7 +126,7 @@ def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
     # ratio conditions need f_inv; without bijection evidence they are
     # reported failed rather than computed on a non-invertible f
     if f_bijective_evidence:
-        f_inv = _f_inverse(t.f)
+        f_inv = inverse_evaluator(t.f)
         xs = p[1:]  # (0, 1]
         for label, u in (("h", t.h), ("g", t.g)):
             vals = np.asarray(u.evaluator(xs), dtype=float)
@@ -169,19 +162,18 @@ def from_triple(t: GeneratorTriple, *, validate: bool = True,
                 "invalid generator triple:\n" + str(report), report=report)
 
     f_ev, g_ev, h_ev = t.f.evaluator, t.g.evaluator, t.h.evaluator
-    f_inv = _f_inverse(t.f)
+    f_inv = inverse_evaluator(t.f)
 
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        y_safe = np.where(y == 0.0, 1.0, y)
-        x_safe = np.where(x == 0.0, 1.0, x)
-        # dummy lanes (masked out below) are clipped into the domain
-        r_xy = np.clip(x / y_safe, 0.0, 1.0)
-        r_yx = np.clip(y / x_safe, 0.0, 1.0)
-        upper = f_ev(y * np.asarray(f_inv(np.clip(h_ev(r_xy), 0.0, 1.0)), dtype=float))
-        lower = f_ev(x * np.asarray(f_inv(np.clip(g_ev(r_yx), 0.0, 1.0)), dtype=float))
-        out = np.where((x <= y) & (y != 0.0), upper, lower)
+        # pick the branch first, so that f_inv runs once per lane
+        upper = (x <= y) & (y != 0.0)
+        big, small = np.where(upper, y, x), np.where(upper, x, y)
+        # the (0, 0) lane (masked out below) divides by 1
+        r = np.clip(small / np.where(big == 0.0, 1.0, big), 0.0, 1.0)
+        section = np.where(upper, h_ev(r), g_ev(r))
+        out = f_ev(big * np.asarray(f_inv(np.clip(section, 0.0, 1.0)), dtype=float))
         return np.where((x == 0.0) & (y == 0.0), 0.0, out)
 
     return AggregationFunction(

@@ -19,8 +19,9 @@ from .errors import ContractError, DomainError
 
 INF = float("inf")
 
-#: Bisection runs at most this many rounds; the bracket width then reaches
-#: 2**-200, far below double precision, so convergence is unconditional.
+#: ``bisect_increasing`` refines a lane for at most this many rounds; a lane
+#: still open then returns NaN. Bisection alone narrows a bracket to 2**-200
+#: of its width in that many rounds.
 MAX_BISECT_ITER = 200
 
 #: Default residual target for numerical inversion.
@@ -108,13 +109,32 @@ def interval_at(points, w) -> tuple[float, float] | None:
     return None if w is None else (float(points[w[0]]), float(points[w[0] + 1]))
 
 
+#: Bracket table for ``bisect_increasing``, as fractions of [lo, hi]: 64
+#: uniform steps plus the powers 2^-k down to 2^-60, so that power-like
+#: functions get brackets as tight near ``lo`` as elsewhere.
+_BRACKET_TABLE = np.unique(np.concatenate([np.linspace(0.0, 1.0, 65),
+                                           np.exp2(-np.arange(7.0, 61.0))]))
+
+#: A lane has converged once its bracket is at most this fraction of
+#: [lo, hi] wide (and its residual is within tol).
+_X_TOL = 2.0 ** -44
+
+
 def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: float = 1.0):
     """Solve fn(x) = y on [lo, hi] for a nondecreasing elementwise fn.
 
-    Accepts scalar or array ``y``; the loop runs until every element
-    satisfies ``|fn(x) - y| <= tol`` or MAX_BISECT_ITER rounds elapse.
-    Values hitting an endpoint image exactly are returned as that endpoint,
-    which keeps inverses exact where the function may have zero slope.
+    Accepts scalar or array ``y``. Each distinct target is solved once,
+    and a lane's result depends on its target alone, never on the rest of
+    the batch. ``fn`` is sampled once on a fixed table (``_BRACKET_TABLE``)
+    that brackets every target; Chandrupatla's interpolation, falling back
+    to bisection, then refines each bracket until ``|fn(x) - y| <= tol``
+    and the bracket is at most 2^-44 (hi - lo) wide. Targets at or beyond
+    an endpoint image (within tol) are returned as that endpoint, which
+    keeps inverses exact where the function may have zero slope.
+
+    A lane that cannot converge returns NaN: a NaN target, a target inside
+    a jump of ``fn`` (its bracket shrinks to adjacent floats), or one still
+    open after MAX_BISECT_ITER rounds.
 
     Raises DomainError if some y lies outside [fn(lo) - tol, fn(hi) + tol].
     """
@@ -122,35 +142,85 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: 
     y_arr = np.asarray(y, dtype=float)
     if y_arr.size == 0:
         return y_arr.copy()
+    targets, lane_of = np.unique(y_arr.ravel(), return_inverse=True)
 
-    f_lo = np.asarray(fn(np.full(y_arr.shape, lo)), dtype=float)
-    f_hi = np.asarray(fn(np.full(y_arr.shape, hi)), dtype=float)
-    below = y_arr < f_lo - tol
-    above = y_arr > f_hi + tol
-    if bool(np.any(below)) or bool(np.any(above)):
-        bad = y_arr[below | above].ravel()[0]
+    xs = lo + (hi - lo) * _BRACKET_TABLE
+    xs[-1] = hi
+    fs = np.asarray(fn(xs), dtype=float)
+    f_lo, f_hi = fs[0], fs[-1]
+    bad = (targets < f_lo - tol) | (targets > f_hi + tol)
+    if bool(np.any(bad)):
+        first = y_arr.ravel()[bad[lane_of]][0]
         raise DomainError(
-            f"target {bad!r} is not bracketed by [{lo}, {hi}] (no solution within tol)"
+            f"target {first!r} is not bracketed by [{lo}, {hi}] (no solution within tol)"
         )
 
-    at_lo = y_arr == f_lo
-    at_hi = y_arr == f_hi
-
-    lo_arr = np.full(y_arr.shape, lo, dtype=float)
-    hi_arr = np.full(y_arr.shape, hi, dtype=float)
-    mid = 0.5 * (lo_arr + hi_arr)
-    for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo_arr + hi_arr)
-        f_mid = np.asarray(fn(mid), dtype=float)
-        resid = np.abs(f_mid - y_arr)
-        if float(np.max(np.where(at_lo | at_hi, 0.0, resid))) <= tol:
-            break
-        go_up = f_mid <= y_arr
-        lo_arr = np.where(go_up, mid, lo_arr)
-        hi_arr = np.where(go_up, hi_arr, mid)
-
-    out = np.where(at_lo, lo, np.where(at_hi, hi, mid))
+    out = np.full(targets.shape, np.nan)
+    out[targets >= f_hi] = hi
+    out[targets <= f_lo] = lo
+    inner = np.flatnonzero((targets > f_lo) & (targets < f_hi))
+    if inner.size:
+        out[inner] = _refine(fn, targets[inner], xs, fs, tol, _X_TOL * (hi - lo))
+    out = out[lane_of].reshape(y_arr.shape)
     return float(out) if scalar else out
+
+
+def _refine(fn, y, xs, fs, tol, xtol):
+    """Chandrupatla's bracketed root finder, lane by lane.
+
+    Each target y starts from the table bracket fs[j-1] <= y < fs[j].
+    Lanes leave the active set as they converge or fail (NaN), so every
+    round evaluates ``fn`` on the open lanes only.
+    """
+    out = np.full(y.shape, np.nan)
+    j = np.clip(np.searchsorted(fs, y, side="right"), 1, len(fs) - 1)
+    lane = np.arange(y.size)
+    # x1 is the newest point, x2 the other end of the bracket, x3 the
+    # point dropped last; f* are residuals fn(x*) - y
+    x1, f1, x2, f2 = xs[j - 1], fs[j - 1] - y, xs[j], fs[j] - y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = f1 / (f1 - f2)  # first step: linear interpolation
+        for rnd in range(MAX_BISECT_ITER + 1):
+            dx = x2 - x1
+            a1, a2 = np.abs(f1), np.abs(f2)
+            near1 = a1 <= a2
+            best = np.where(near1, a1, a2)
+            done = (best == 0.0) | ((best <= tol) & (np.abs(dx) <= xtol))
+            out[lane[done]] = np.where(near1, x1, x2)[done]
+            tl = np.minimum(0.5, 0.5 * xtol / np.abs(dx))
+            x = x1 + np.clip(t, tl, 1.0 - tl) * dx
+            # a NaN residual or a bracket of adjacent floats cannot improve
+            keep = ~done & ~np.isnan(f1) & (x != x1) & (x != x2)
+            if rnd == MAX_BISECT_ITER or not keep.any():
+                break
+            lane, y, x, x1, f1, x2, f2 = (v[keep] for v in (lane, y, x, x1, f1, x2, f2))
+            f = np.asarray(fn(x), dtype=float) - y
+            same = (f > 0.0) == (f1 > 0.0)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, f
+            # inverse quadratic interpolation where it is well conditioned
+            xi = (x1 - x2) / (x3 - x2)
+            ph = (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < ph) & (ph < np.sqrt(xi))
+            al = (x3 - x1) / (x2 - x1)
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - al * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+    return out
+
+
+def inverse_evaluator(f, tol: float = DEFAULT_INV_TOL):
+    """Elementwise inverse of a unit-interval function: its closed form when
+    it carries one, else ``bisect_increasing`` on [0, 1].
+
+    ``f`` is any object with ``evaluator`` and ``inverse`` attributes (a
+    UnitFunction). ``bisect_increasing`` is looked up when the inverse is
+    called, not when it is built.
+    """
+    inverse = getattr(f, "inverse", None)
+    if inverse is not None:
+        return inverse
+    return lambda y, ev=f.evaluator: bisect_increasing(ev, y, tol=tol)
 
 
 def invert_monotone(f, y, tol: float = DEFAULT_INV_TOL):
@@ -159,14 +229,11 @@ def invert_monotone(f, y, tol: float = DEFAULT_INV_TOL):
     ``f`` is any object with ``evaluator``/``inverse``/``continuous_bijection``
     attributes (a UnitFunction). A closed-form inverse is used when present
     (and ``tol`` is then ignored); otherwise the value is located by
-    bisection on [0, 1].
+    ``bisect_increasing`` on [0, 1].
     """
-    inverse = getattr(f, "inverse", None)
-    if inverse is not None:
-        out = inverse(np.asarray(y, dtype=float))
-        return float(out) if _is_scalar(y) else np.asarray(out, dtype=float)
-    if not getattr(f, "continuous_bijection", False):
+    if getattr(f, "inverse", None) is None and not getattr(f, "continuous_bijection", False):
         raise ContractError(
             "invert_monotone requires a function declared continuous_bijection"
         )
-    return bisect_increasing(f.evaluator, y, tol=tol)
+    out = inverse_evaluator(f, tol)(np.asarray(y, dtype=float))
+    return float(out) if _is_scalar(y) else np.asarray(out, dtype=float)

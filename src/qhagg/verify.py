@@ -27,7 +27,8 @@ from .algebra import AggregationFunction, UnitFunction, power_function
 from .construct import boundary_formula, flat_formula, triple_of
 from .errors import ContractError, DomainError
 from .exprparse import eval_expr, parse_expr
-from .numerics import Grid, bisect_increasing, default_grid, ext_mul, first_witness, interval_at
+from .numerics import (Grid, bisect_increasing, default_grid, ext_mul, first_witness,
+                       interval_at, inverse_evaluator)
 
 __all__ = [
     "PsiSpec",
@@ -154,12 +155,8 @@ class PhiSpec:
         if not u.continuous_bijection:
             raise ContractError(
                 f"phi must be a declared continuous bijection, got {u!r}")
-        if u.inverse is not None:
-            return PhiSpec(b=1.0, evaluator=u.evaluator, inverse=u.inverse,
-                           name=u.name, closed_form=True)
-        return PhiSpec(b=1.0, evaluator=u.evaluator,
-                       inverse=lambda y, ev=u.evaluator: bisect_increasing(ev, y),
-                       name=u.name, closed_form=False)
+        return PhiSpec(b=1.0, evaluator=u.evaluator, inverse=inverse_evaluator(u),
+                       name=u.name, closed_form=u.inverse is not None)
 
     @staticmethod
     def power(c: float) -> "PhiSpec":
@@ -178,12 +175,9 @@ class PhiSpec:
                 f"inverse_of needs a declared continuous bijection, got {u!r}")
         if not c > 0:
             raise DomainError(f"exponent must be positive, got {c}")
-        u_inv = u.inverse
-        if u_inv is None:
-            u_inv = lambda y, ev=u.evaluator: bisect_increasing(ev, y)  # noqa: E731
         inv_c = 1.0 / c
 
-        def evaluator(x, ui=u_inv, cc=c):
+        def evaluator(x, ui=inverse_evaluator(u), cc=c):
             return np.power(np.asarray(ui(x), dtype=float), cc)
 
         def inverse(y, ev=u.evaluator, e=inv_c):
@@ -463,9 +457,8 @@ def _sweep(fn, base: np.ndarray, rhs, g: Grid, tol: float, label: str = "") -> R
     about SWEEP_CHUNK_LANES lanes. The witness is the first argmax in C
     order, as over the whole cube: a chunk maximum replaces the running
     one only when strictly larger, and a NaN maximum wins and ends the scan.
-    Closed-form evaluators give the same report for any chunking; a
-    bisection runs until the worst lane of its batch converges, so its
-    values may differ in the last digits.
+    Every evaluator, numeric inversions included, gives the same report
+    for any chunking.
     """
     p = g.points
     expected = rhs(base)

@@ -90,3 +90,15 @@ def test_phi_of_base_is_evaluated_once_per_sweep(monkeypatch):
     run_chunked(monkeypatch, lambda: check_quasi_homogeneity(
         catalog_lookup("min"), counted, PsiSpec.power(1.0), grid=G), 1)
     assert calls == [(len(G), len(G))]
+
+
+def test_bisection_backed_phi_is_independent_of_chunking(monkeypatch):
+    # phi = x^3 as an expression has no closed-form inverse, so every lane
+    # of the sweep is inverted numerically; since an inversion's result
+    # depends on its target alone, the chunking cannot move a digit
+    g150 = make_grid(150)
+    per_row, whole = one_row_and_whole(monkeypatch, lambda: check_quasi_homogeneity(
+        catalog_lookup("harmonic_min"), PhiSpec.from_expr("x^3"), PsiSpec.power(1.0),
+        grid=g150), g150)
+    assert per_row == whole
+    assert whole.passed is False
