@@ -112,8 +112,8 @@ def interval_at(points, w) -> tuple[float, float] | None:
 #: Bracket table for ``bisect_increasing``, as fractions of [lo, hi]: 64
 #: uniform steps plus the powers 2^-k down to 2^-60, so that power-like
 #: functions get brackets as tight near ``lo`` as elsewhere.
-_BRACKET_TABLE = np.unique(np.concatenate([np.linspace(0.0, 1.0, 65),
-                                           np.exp2(-np.arange(7.0, 61.0))]))
+_BRACKET_TABLE = np.concatenate([[0.0], np.exp2(-np.arange(60.0, 6.0, -1.0)),
+                                 np.arange(1.0, 65.0) / 64.0])
 
 #: A lane has converged once its bracket is at most this fraction of
 #: [lo, hi] wide (and its residual is within tol).
@@ -142,7 +142,15 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: 
     y_arr = np.asarray(y, dtype=float)
     if y_arr.size == 0:
         return y_arr.copy()
-    targets, lane_of = np.unique(y_arr.ravel(), return_inverse=True)
+    # distinct targets by sorting (np.unique would import numpy.ma, a
+    # one-off cost of about 15 ms and 1 MiB per process)
+    flat = y_arr.ravel()
+    order = np.argsort(flat)
+    ys = flat[order]
+    first = np.concatenate([[True], ys[1:] != ys[:-1]])
+    targets = ys[first]
+    lane_of = np.empty(flat.size, dtype=np.intp)
+    lane_of[order] = np.cumsum(first) - 1
 
     xs = lo + (hi - lo) * _BRACKET_TABLE
     xs[-1] = hi
@@ -150,9 +158,9 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: 
     f_lo, f_hi = fs[0], fs[-1]
     bad = (targets < f_lo - tol) | (targets > f_hi + tol)
     if bool(np.any(bad)):
-        first = y_arr.ravel()[bad[lane_of]][0]
+        bad_y = flat[bad[lane_of]][0]
         raise DomainError(
-            f"target {first!r} is not bracketed by [{lo}, {hi}] (no solution within tol)"
+            f"target {bad_y!r} is not bracketed by [{lo}, {hi}] (no solution within tol)"
         )
 
     out = np.full(targets.shape, np.nan)
