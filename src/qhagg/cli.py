@@ -219,21 +219,24 @@ def cmd_grid(args) -> int:
     grid = make_grid(args.n)
     p = grid.points
     V = np.asarray(A.evaluator(p[:, None], p[None, :]), dtype=float)
-    lines = ["x,y,value"]
-    for i in range(len(p)):
-        for j in range(len(p)):
-            lines.append(f"{float(p[i])!r},{float(p[j])!r},{float(V[i, j])!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        _write_csv(sys.stdout, p, V)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_csv(fh, p, V)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     return 0
+
+
+def _write_csv(fh, p, V) -> None:
+    """``x,y,value`` lines with y fastest, written one row of V at a time."""
+    labels = [repr(x) for x in p.tolist()]
+    fh.write("x,y,value\n")
+    for x, row in zip(labels, V.tolist()):
+        fh.write("".join([f"{x},{y},{v!r}\n" for y, v in zip(labels, row)]))
 
 
 def cmd_catalog(args) -> int:

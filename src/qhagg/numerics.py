@@ -115,6 +115,13 @@ def interval_at(points, w) -> tuple[float, float] | None:
 _BRACKET_TABLE = np.concatenate([[0.0], np.exp2(-np.arange(60.0, 6.0, -1.0)),
                                  np.arange(1.0, 65.0) / 64.0])
 
+#: Every eighth power 2^-k from 2^-1072 to 2^-64, spliced in between the
+#: first two points of ``_BRACKET_TABLE`` for a batch with a target below
+#: fn(2^-60): functions so steep at 0 (x^0.05) that a root sits far below
+#: 2^-60 then get a tight bracket too. A batch without one never samples
+#: these points, which are mostly subnormal and slow to compute with.
+_DEEP_TABLE = np.exp2(-np.arange(1072.0, 63.0, -8.0))
+
 #: A lane has converged once its bracket is at most this fraction of
 #: [lo, hi] wide (and its residual is within tol).
 _X_TOL = 2.0 ** -44
@@ -125,9 +132,10 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: 
 
     Accepts scalar or array ``y``. Each distinct target is solved once,
     and a lane's result depends on its target alone, never on the rest of
-    the batch. ``fn`` is sampled once on a fixed table (``_BRACKET_TABLE``)
-    that brackets every target; Chandrupatla's interpolation, falling back
-    to bisection, then refines each bracket until ``|fn(x) - y| <= tol``
+    the batch. ``fn`` is sampled on a fixed table that brackets every
+    target (``_BRACKET_TABLE``, plus ``_DEEP_TABLE`` when some target lies
+    below fn(2^-60)); Chandrupatla's interpolation, falling back to
+    bisection, then refines each bracket until ``|fn(x) - y| <= tol``
     and the bracket is at most 2^-44 (hi - lo) wide. Targets at or beyond
     an endpoint image (within tol) are returned as that endpoint, which
     keeps inverses exact where the function may have zero slope.
@@ -162,6 +170,10 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: 
         raise DomainError(
             f"target {bad_y!r} is not bracketed by [{lo}, {hi}] (no solution within tol)"
         )
+    if bool(np.any((targets > f_lo) & (targets < fs[1]))):
+        deep = lo + (hi - lo) * _DEEP_TABLE
+        xs = np.concatenate([xs[:1], deep, xs[1:]])
+        fs = np.concatenate([fs[:1], np.asarray(fn(deep), dtype=float), fs[1:]])
 
     out = np.full(targets.shape, np.nan)
     out[targets >= f_hi] = hi
@@ -186,7 +198,8 @@ def _refine(fn, y, xs, fs, tol, xtol):
     # x1 is the newest point, x2 the other end of the bracket, x3 the
     # point dropped last; f* are residuals fn(x*) - y
     x1, f1, x2, f2 = xs[j - 1], fs[j - 1] - y, xs[j], fs[j] - y
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal bracket overflows xtol / |dx|, which only caps tl at 0.5
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = f1 / (f1 - f2)  # first step: linear interpolation
         for rnd in range(MAX_BISECT_ITER + 1):
             dx = x2 - x1

@@ -407,11 +407,13 @@ def check_quasi_homogeneity(A: AggregationFunction, phi: PhiSpec, psi: PsiSpec,
     residual(lam, x, y) = |A(lam x, lam y) - phi_inv(psi(lam) * phi(A(x, y)))|
 
     The product uses extended arithmetic (0 * inf = 0) so unbounded phi is
-    handled. Multiplier values exactly 0 and 1 take the algebraic short
-    cut (psi*phi(t) = 0 resp. phi(t)): the inverse-bijection identity is a
-    contract of phi, checked separately, and routing those lanes through a
-    numeric inverse round trip would only add noise to the residual of the
-    scaling law itself.
+    handled. A lane whose multiplier psi(lam) is exactly 1 takes A(x, y)
+    itself, never the round trip phi_inv(phi(A(x, y))): that identity is a
+    contract of phi, checked separately, and inverting would only add noise
+    to the residual of the scaling law. A lane whose multiplier is exactly
+    0 takes phi_inv(0). A chunk of lam rows with no other multiplier, which
+    is every chunk of a step psi, inverts phi at 0 on one lane only; a
+    chunk with any other multiplier inverts all of its lanes.
     """
     g = grid or default_grid()
     return _sweep(A.evaluator, _sample(A.evaluator, g.points), _scaling_rhs(phi, psi), g,
@@ -423,6 +425,8 @@ def _scaling_rhs(phi: PhiSpec, psi: PsiSpec):
     """``rhs(V)(lam) = phi_inv(psi(lam) * phi(V))``; multiplier 1 gives V itself.
 
     phi(V) is evaluated once, when the sweep binds ``rhs`` to its base sample.
+    A chunk whose multipliers are all 0 or 1 (every chunk of a step psi)
+    inverts phi at 0 on a single lane, not on the whole chunk.
     """
 
     def rhs(V):
@@ -430,8 +434,9 @@ def _scaling_rhs(phi: PhiSpec, psi: PsiSpec):
 
         def expected(L):
             S = np.asarray(psi(L), dtype=float)
-            return np.where(S == 1.0, V[None, :, :],
-                            np.asarray(phi.inverse(ext_mul(S, W)), dtype=float))
+            # with multipliers 0 and 1 only, every inverted lane is phi_inv(0)
+            Y = np.zeros((1, 1, 1)) if np.all((S == 0.0) | (S == 1.0)) else ext_mul(S, W)
+            return np.where(S == 1.0, V[None, :, :], np.asarray(phi.inverse(Y), dtype=float))
 
         return expected
 

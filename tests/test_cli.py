@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qhagg import catalog_lookup, make_grid
-from qhagg.cli import load_grid_csv
+from qhagg.cli import build_aggregation, load_grid_csv
 
 
 def run_cli(*args):
@@ -201,6 +201,29 @@ class TestGrid:
         assert res.stderr.startswith("error: grid too large")
         assert "Traceback" not in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,spec,n", [
+        (["--fn", "harmonic_min"], {"kind": "catalog", "name": "harmonic_min"}, 7),
+        (["--fn", "product"], {"kind": "catalog", "name": "product"}, 13),
+        (["--fn", "flat", "--alpha", "0.2", "--beta", "0.7"],
+         {"kind": "flat", "alpha": 0.2, "beta": 0.7}, 9),
+        (["--triple", "f=x^2", "g=x", "h=2*x/(1+x)"],
+         {"kind": "triple", "f": "x^2", "g": "x", "h": "2*x/(1+x)"}, 11),
+    ], ids=["harmonic_min", "product", "flat", "triple"])
+    def test_csv_text_is_the_scalar_by_scalar_dump(self, tmp_path, argv, spec, n):
+        p = make_grid(n).points
+        V = np.asarray(build_aggregation(spec).evaluator(p[:, None], p[None, :]))
+        lines = ["x,y,value"]
+        for i in range(len(p)):
+            for j in range(len(p)):
+                lines.append(f"{float(p[i])!r},{float(p[j])!r},{float(V[i, j])!r}")
+        text = "\n".join(lines) + "\n"
+        res = run_cli("grid", *argv, "--n", str(n))
+        assert res.returncode == 0 and res.stdout == text
+        out = tmp_path / "dump.csv"
+        res = run_cli("grid", *argv, "--n", str(n), "--out", str(out))
+        assert res.returncode == 0 and res.stdout == ""
+        assert out.read_bytes() == text.encode("utf-8")
 
 
 class TestCatalogCommand:

@@ -51,6 +51,27 @@ class TestPerLane:
         alone = np.array([bisect_increasing(fn, float(t)) for t in y])
         assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
 
+    @pytest.mark.filterwarnings("error")
+    def test_roots_far_below_two_to_the_minus_sixty(self):
+        # x^0.05 maps [0, 2^-60] onto [0, 0.125]: targets below 2.5e-4 have
+        # roots near 1e-72 and below, which the table still brackets
+        def steep(t):
+            return np.power(t, 0.05)
+
+        y = np.random.default_rng(0).uniform(size=10**5)
+        x = bisect_increasing(steep, y)
+        assert not np.isnan(x).any()
+        assert float(np.max(np.abs(steep(x) - y))) <= 1e-12
+        assert float(np.min(x)) < 1e-72
+        # lanes above 0.125 come out the same in a batch that needs no
+        # points below 2^-60, and tiny lanes the same without the rest
+        high, low = y > 0.125, y < 1e-3
+        assert np.array_equal(bisect_increasing(steep, y[high]), x[high])
+        assert np.array_equal(bisect_increasing(steep, y[low]), x[low])
+        # below steep(2^-1072) the bracket is subnormal, and still quiet
+        tiny = bisect_increasing(steep, np.array([1e-20, 1e-30]))
+        assert np.all((tiny >= 0.0) & (tiny <= 2.0 ** -1072))
+
     def test_tiny_target_is_accurate_in_x(self):
         # x^2 is within 1e-12 of 1e-14 on all of [0, 1e-6]; the bracket
         # rule still pins the root 1e-7

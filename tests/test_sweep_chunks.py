@@ -13,9 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from qhagg import (PhiSpec, PsiSpec, catalog_lookup, check_homogeneous_order,
-                   check_quasi_homogeneity, make_grid)
+from qhagg import (AggregationFunction, PhiSpec, PsiSpec, catalog_lookup,
+                   check_homogeneous_order, check_quasi_homogeneity, make_grid)
 from qhagg import verify
+from qhagg.numerics import ext_mul
 
 G = make_grid(12)
 
@@ -102,3 +103,73 @@ def test_bisection_backed_phi_is_independent_of_chunking(monkeypatch):
         grid=g150), g150)
     assert per_row == whole
     assert whole.passed is False
+
+
+# ------------------------------------------------- step psi: no cube inversion
+
+
+def with_nan(A, x0, y0):
+    """A with a NaN sample at (x0, y0)."""
+    def evaluator(x, y):
+        return np.where((x == x0) & (y == y0), np.nan, A.evaluator(x, y))
+    return AggregationFunction(evaluator=evaluator, provenance="test", name=f"{A.name}+nan")
+
+
+STEP_AGGS = {
+    "drastic": catalog_lookup("drastic"),
+    "flat": catalog_lookup("flat", {"alpha": 0.2, "beta": 0.7}),
+    "boundary_only": catalog_lookup("boundary_only", {"g": "x^2", "h": "x"}),
+    "product": catalog_lookup("product"),
+    # off the base grid, reached only as (lam x, lam y) with lam = x = y = 1/12
+    "nan-scaled": with_nan(catalog_lookup("drastic"), 1.0 / 144.0, 1.0 / 144.0),
+    "nan-base": with_nan(catalog_lookup("product"), 0.5, 0.25),
+}
+STEP_PHIS = {
+    "x^2": lambda: PhiSpec.from_expr("x^2"),
+    "x/(1-x)": lambda: PhiSpec.from_expr("x/(1-x)", b=math.inf),
+    "identity": PhiSpec.identity,
+}
+# an expression phi refuses a NaN argument, so a NaN on the base grid meets
+# the identity only
+STEP_CASES = [(a, f) for a in STEP_AGGS for f in STEP_PHIS
+              if a != "nan-base" or f == "identity"]
+
+
+def whole_cube_reference(A, phi, psi, g):
+    """Max residual and first-argmax witness, every lane inverted as before."""
+    p = g.points
+    V = np.asarray(A.evaluator(p[:, None], p[None, :]), dtype=float)
+    L = p[:, None, None]
+    lhs = np.asarray(A.evaluator(L * p[None, :, None], L * p[None, None, :]), dtype=float)
+    S = psi(L)
+    W = np.asarray(phi.evaluator(V), dtype=float)[None, :, :]
+    expected = np.where(S == 1, V[None, :, :],
+                        np.asarray(phi.inverse(ext_mul(S, W)), dtype=float))
+    resid = np.abs(lhs - expected)
+    k, i, j = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    return float(resid[k, i, j]), (float(p[k]), float(p[i]), float(p[j]))
+
+
+@pytest.mark.parametrize("psi", [PsiSpec.step_at_zero(), PsiSpec.step_at_one()],
+                         ids=["step0", "step1"])
+@pytest.mark.parametrize("agg,phi_name", STEP_CASES)
+def test_step_psi_inverts_phi_at_zero_on_one_lane(monkeypatch, psi, agg, phi_name):
+    A, phi = STEP_AGGS[agg], STEP_PHIS[phi_name]()
+    sizes = []
+
+    def inverse(y):
+        sizes.append(np.size(y))
+        return phi.inverse(y)
+
+    counted = PhiSpec(b=phi.b, evaluator=phi.evaluator, inverse=inverse, name=phi.name,
+                      closed_form=phi.closed_form)
+    max_res, witness = whole_cube_reference(A, phi, psi, G)
+    for report in one_row_and_whole(
+            monkeypatch, lambda: check_quasi_homogeneity(A, counted, psi, grid=G)):
+        assert report.witness == witness
+        if math.isnan(max_res):
+            assert math.isnan(report.max_residual) and report.passed is False
+        else:
+            assert report.max_residual == max_res
+            assert report.passed is (max_res <= report.tol)
+    assert sizes and max(sizes) == 1
