@@ -126,6 +126,31 @@ _DEEP_TABLE = np.exp2(-np.arange(1072.0, 63.0, -8.0))
 #: [lo, hi] wide (and its residual is within tol).
 _X_TOL = 2.0 ** -44
 
+#: ``bisect_increasing`` refines its sorted distinct targets in blocks of
+#: this many lanes, so that a round's working arrays stay in cache.
+_REFINE_BLOCK = 1 << 14
+
+
+def distinct(values):
+    """Sorted distinct values ``w`` of a 1-d array, and the index ``at`` of
+    each entry among them: ``w[at]`` rebuilds the array, up to the sign of
+    zero. Each NaN is a value of its own. Built on argsort: ``np.unique``
+    imports ``numpy.ma`` on first use, a one-off cost of about 15 ms and
+    1 MiB per process.
+    """
+    order = np.argsort(values)
+    ys = values[order]
+    first = np.empty(ys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ys[1:], ys[:-1], out=first[1:])
+    w = ys[first]
+    del ys  # free it before the two index arrays are built
+    rank = np.cumsum(first)
+    rank -= 1
+    at = np.empty(values.size, dtype=np.intp)
+    at[order] = rank
+    return w, at
+
 
 def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: float = 1.0):
     """Solve fn(x) = y on [lo, hi] for a nondecreasing elementwise fn.
@@ -138,7 +163,9 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: 
     bisection, then refines each bracket until ``|fn(x) - y| <= tol``
     and the bracket is at most 2^-44 (hi - lo) wide. Targets at or beyond
     an endpoint image (within tol) are returned as that endpoint, which
-    keeps inverses exact where the function may have zero slope.
+    keeps inverses exact where the function may have zero slope. Only the
+    targets strictly between the endpoint images are sorted and refined,
+    in blocks of ``_REFINE_BLOCK`` lanes.
 
     A lane that cannot converge returns NaN: a NaN target, a target inside
     a jump of ``fn`` (its bracket shrinks to adjacent floats), or one still
@@ -150,38 +177,33 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: 
     y_arr = np.asarray(y, dtype=float)
     if y_arr.size == 0:
         return y_arr.copy()
-    # distinct targets by sorting (np.unique would import numpy.ma, a
-    # one-off cost of about 15 ms and 1 MiB per process)
     flat = y_arr.ravel()
-    order = np.argsort(flat)
-    ys = flat[order]
-    first = np.concatenate([[True], ys[1:] != ys[:-1]])
-    targets = ys[first]
-    lane_of = np.empty(flat.size, dtype=np.intp)
-    lane_of[order] = np.cumsum(first) - 1
-
     xs = lo + (hi - lo) * _BRACKET_TABLE
     xs[-1] = hi
     fs = np.asarray(fn(xs), dtype=float)
     f_lo, f_hi = fs[0], fs[-1]
-    bad = (targets < f_lo - tol) | (targets > f_hi + tol)
-    if bool(np.any(bad)):
-        bad_y = flat[bad[lane_of]][0]
+    bad = (flat < f_lo - tol) | (flat > f_hi + tol)
+    if bad.any():
         raise DomainError(
-            f"target {bad_y!r} is not bracketed by [{lo}, {hi}] (no solution within tol)"
+            f"target {float(flat[np.argmax(bad)])!r} is not bracketed by [{lo}, {hi}] "
+            "(no solution within tol)"
         )
-    if bool(np.any((targets > f_lo) & (targets < fs[1]))):
+
+    inner = (flat > f_lo) & (flat < f_hi)
+    targets, at = distinct(flat[inner])
+    if targets.size and targets[0] < fs[1]:
         deep = lo + (hi - lo) * _DEEP_TABLE
         xs = np.concatenate([xs[:1], deep, xs[1:]])
         fs = np.concatenate([fs[:1], np.asarray(fn(deep), dtype=float), fs[1:]])
-
-    out = np.full(targets.shape, np.nan)
-    out[targets >= f_hi] = hi
-    out[targets <= f_lo] = lo
-    inner = np.flatnonzero((targets > f_lo) & (targets < f_hi))
-    if inner.size:
-        out[inner] = _refine(fn, targets[inner], xs, fs, tol, _X_TOL * (hi - lo))
-    out = out[lane_of].reshape(y_arr.shape)
+    for b in range(0, targets.size, _REFINE_BLOCK):
+        # the targets are overwritten by their roots, block by block
+        targets[b:b + _REFINE_BLOCK] = _refine(fn, targets[b:b + _REFINE_BLOCK], xs, fs,
+                                               tol, _X_TOL * (hi - lo))
+    out = np.full(flat.shape, np.nan)
+    out[flat >= f_hi] = hi
+    out[flat <= f_lo] = lo
+    out[inner] = targets[at]
+    out = out.reshape(y_arr.shape)
     return float(out) if scalar else out
 
 
@@ -214,7 +236,8 @@ def _refine(fn, y, xs, fs, tol, xtol):
             keep = ~done & ~np.isnan(f1) & (x != x1) & (x != x2)
             if rnd == MAX_BISECT_ITER or not keep.any():
                 break
-            lane, y, x, x1, f1, x2, f2 = (v[keep] for v in (lane, y, x, x1, f1, x2, f2))
+            if not keep.all():
+                lane, y, x, x1, f1, x2, f2 = (v[keep] for v in (lane, y, x, x1, f1, x2, f2))
             f = np.asarray(fn(x), dtype=float) - y
             same = (f > 0.0) == (f1 > 0.0)
             x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)

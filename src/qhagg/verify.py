@@ -27,8 +27,8 @@ from .algebra import AggregationFunction, UnitFunction, power_function
 from .construct import boundary_formula, flat_formula, triple_of
 from .errors import ContractError, DomainError
 from .exprparse import eval_expr, parse_expr
-from .numerics import (Grid, bisect_increasing, default_grid, ext_mul, first_witness,
-                       interval_at, inverse_evaluator)
+from .numerics import (Grid, bisect_increasing, default_grid, distinct, ext_mul,
+                       first_witness, interval_at, inverse_evaluator)
 
 __all__ = [
     "PsiSpec",
@@ -425,18 +425,26 @@ def _scaling_rhs(phi: PhiSpec, psi: PsiSpec):
     """``rhs(V)(lam) = phi_inv(psi(lam) * phi(V))``; multiplier 1 gives V itself.
 
     phi(V) is evaluated once, when the sweep binds ``rhs`` to its base sample.
-    A chunk whose multipliers are all 0 or 1 (every chunk of a step psi)
+    For a power psi its distinct values are found then too, and a chunk
+    inverts phi once per lam row and distinct value, not once per lane. A
+    chunk whose multipliers are all 0 or 1 (every chunk of a step psi)
     inverts phi at 0 on a single lane, not on the whole chunk.
     """
 
     def rhs(V):
-        W = np.asarray(phi.evaluator(V), dtype=float)[None, :, :]
+        W = np.asarray(phi.evaluator(V), dtype=float)
+        # only a power psi has multipliers other than 0 and 1
+        w, at = distinct(W.ravel()) if psi.kind == "power" else (None, None)
 
         def expected(L):
             S = np.asarray(psi(L), dtype=float)
-            # with multipliers 0 and 1 only, every inverted lane is phi_inv(0)
-            Y = np.zeros((1, 1, 1)) if np.all((S == 0.0) | (S == 1.0)) else ext_mul(S, W)
-            return np.where(S == 1.0, V[None, :, :], np.asarray(phi.inverse(Y), dtype=float))
+            if np.all((S == 0.0) | (S == 1.0)):
+                # with multipliers 0 and 1 only, every inverted lane is phi_inv(0)
+                Y = np.asarray(phi.inverse(np.zeros((1, 1, 1))), dtype=float)
+            else:
+                Y = np.asarray(phi.inverse(ext_mul(S[:, :, 0], w[None, :])), dtype=float)
+                Y = Y[:, at].reshape(len(S), *V.shape)
+            return np.where(S == 1.0, V[None, :, :], Y)
 
         return expected
 

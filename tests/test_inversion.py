@@ -14,6 +14,7 @@ import pytest
 
 from qhagg import (PhiSpec, PsiSpec, UnitFunction, bisect_increasing, catalog_lookup,
                    check_quasi_homogeneity, make_grid, unit_function_from_expr)
+from qhagg.numerics import _BRACKET_TABLE, _REFINE_BLOCK, distinct
 
 
 class Counted:
@@ -124,3 +125,50 @@ class TestNonConvergence:
         assert math.isnan(report.max_residual)
         assert report.witness is not None
         assert all(v in set(g.points.tolist()) for v in report.witness)
+
+
+class TestBlocksAndEndpointScreen:
+    @pytest.mark.parametrize("fn", [square, lambda x: np.power(x, 1.7)],
+                             ids=["x^2", "x^1.7"])
+    def test_lanes_across_block_boundaries_equal_their_targets_alone(self, fn):
+        rng = np.random.default_rng(11)
+        y = rng.uniform(size=3 * _REFINE_BLOCK + 17)
+        dup = rng.choice(y.size, 16, replace=False)
+        y[dup[:8]] = y[dup[8:]]
+        y[dup[8:10]] = np.nan
+        y[dup[10]], y[dup[11]] = 0.0, 1.0
+        targets, at = distinct(y[(y > 0.0) & (y < 1.0)])
+        assert targets.size > 3 * _REFINE_BLOCK
+        # lanes whose targets sit on either side of each block boundary
+        edges = [k for b in (1, 2, 3) for k in (b * _REFINE_BLOCK - 1, b * _REFINE_BLOCK)]
+        inner = np.flatnonzero((y > 0.0) & (y < 1.0))
+        picked = {int(inner[np.flatnonzero(at == k)[0]]) for k in edges}
+        picked |= set(dup.tolist())
+        for i in rng.permutation(y.size).tolist():
+            if len(picked) == 200:
+                break
+            picked.add(i)
+        lanes = sorted(picked)
+        batch = bisect_increasing(fn, y)
+        alone = np.array([bisect_increasing(fn, float(y[i])) for i in lanes])
+        assert np.array_equal(batch[lanes].view(np.int64), alone.view(np.int64))
+
+    def test_endpoint_targets_call_fn_on_the_bracket_table_only(self):
+        fn = Counted(square)
+        y = np.tile([0.0, 1.0, -1e-13, 1.0 + 1e-13], 10**4)
+        x = bisect_increasing(fn, y)
+        assert fn.lanes == len(_BRACKET_TABLE)
+        assert np.array_equal(x, np.tile([0.0, 1.0, 0.0, 1.0], 10**4))
+
+
+class TestDistinct:
+    def test_sorted_values_and_index_rebuild_the_array(self):
+        values = np.array([0.5, -0.0, 0.25, np.nan, 0.5, 0.0, 1.0, np.nan, 0.25])
+        w, at = distinct(values)
+        assert np.array_equal(w[:4], [0.0, 0.25, 0.5, 1.0])
+        assert np.isnan(w[4:]).all() and len(w) == 6  # each NaN is its own value
+        assert np.array_equal(w[at], values, equal_nan=True)
+
+    def test_empty(self):
+        w, at = distinct(np.array([]))
+        assert w.size == 0 and at.size == 0 and at.dtype == np.intp

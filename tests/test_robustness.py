@@ -5,9 +5,13 @@ import pytest
 
 from qhagg import (
     NOT_QH,
+    DomainError,
+    PhiSpec,
+    PsiSpec,
     QhaggError,
     check_aggregation,
     check_multiplicative,
+    check_quasi_homogeneity,
     classify,
     make_grid,
 )
@@ -42,6 +46,19 @@ class TestNonFiniteSamples:
             lambda x: np.where(np.asarray(x) == 0.5, np.nan, x), grid=G10)
         assert not report.passed
         assert report.witness == (0.0, 0.5)
+
+
+class TestOutOfRangeTarget:
+    def test_domain_error_prints_the_target_as_a_plain_float(self):
+        # A leaves [0, 1], so phi(A) = (1.5 x y)^2 reaches 2.25, beyond the
+        # image of the bisection-backed phi; the message names the first
+        # such target as Python prints a float, not as np.float64(1.125)
+        A = AggregationFunction(lambda x, y: 1.5 * x * y, provenance="1.5 x y")
+        with pytest.raises(DomainError) as info:
+            check_quasi_homogeneity(A, PhiSpec.from_expr("x^2"), PsiSpec.power(1.0),
+                                    grid=G10)
+        assert str(info.value) == (
+            "target 1.125 is not bracketed by [0.0, 1.0] (no solution within tol)")
 
 
 class TestLoadGridCsv:

@@ -8,6 +8,7 @@ identical, witness included (the first argmax in C order).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from qhagg import (AggregationFunction, PhiSpec, PsiSpec, catalog_lookup,
                    check_homogeneous_order, check_quasi_homogeneity, make_grid)
 from qhagg import verify
-from qhagg.numerics import ext_mul
+from qhagg.numerics import distinct, ext_mul
 
 G = make_grid(12)
 
@@ -173,3 +174,94 @@ def test_step_psi_inverts_phi_at_zero_on_one_lane(monkeypatch, psi, agg, phi_nam
             assert report.max_residual == max_res
             assert report.passed is (max_res <= report.tol)
     assert sizes and max(sizes) == 1
+
+
+# ------------------------------- power psi: one inversion per distinct value
+
+
+def signed_zero_product():
+    """x y, with -0.0 where x = 0 < y and +0.0 elsewhere on the zero set."""
+    def evaluator(x, y):
+        return np.where((x == 0.0) & (y > 0.0), -0.0, x * y)
+    return AggregationFunction(evaluator=evaluator, provenance="test", name="product+-0")
+
+
+POWER_AGGS = {
+    "product": catalog_lookup("product"),
+    "min": catalog_lookup("min"),
+    "harmonic_min": catalog_lookup("harmonic_min"),
+    "signed-zero": signed_zero_product(),
+    # off the base grid, reached only as (lam x, lam y) with lam = x = y = 1/12
+    "nan-scaled": with_nan(catalog_lookup("product"), 1.0 / 144.0, 1.0 / 144.0),
+    "nan-base": with_nan(catalog_lookup("min"), 0.5, 0.25),
+}
+POWER_PHIS = {
+    "x^2": lambda: PhiSpec.from_expr("x^2"),
+    "x/(1-x)": lambda: PhiSpec.from_expr("x/(1-x)", b=math.inf),
+    "power(2)": lambda: PhiSpec.power(2.0),
+}
+# an expression phi refuses a NaN argument, so a NaN on the base grid meets
+# the closed-form power only
+POWER_CASES = [(a, f) for a in POWER_AGGS for f in POWER_PHIS
+               if a != "nan-base" or f == "power(2)"]
+
+
+def counted_inverse(phi, sizes):
+    """phi whose inverse records the number of lanes of each call."""
+    def inverse(y):
+        sizes.append(np.size(y))
+        return phi.inverse(y)
+
+    return PhiSpec(b=phi.b, evaluator=phi.evaluator, inverse=inverse, name=phi.name,
+                   closed_form=phi.closed_form)
+
+
+def distinct_count(phi, A, g):
+    p = g.points
+    W = np.asarray(phi.evaluator(np.asarray(A.evaluator(p[:, None], p[None, :]))))
+    return len(distinct(W.ravel())[0])
+
+
+@pytest.mark.parametrize("psi", [PsiSpec.power(0.5), PsiSpec.power(3.0)],
+                         ids=["c=0.5", "c=3"])
+@pytest.mark.parametrize("agg,phi_name", POWER_CASES)
+def test_power_psi_inverts_each_distinct_base_value_once_per_row(monkeypatch, psi, agg,
+                                                                   phi_name):
+    A, phi = POWER_AGGS[agg], POWER_PHIS[phi_name]()
+    max_res, witness = whole_cube_reference(A, phi, psi, G)
+    m = distinct_count(phi, A, G)
+    assert m < len(G) ** 2
+    for rows in (1, len(G)):
+        sizes = []
+        report = run_chunked(monkeypatch, lambda: check_quasi_homogeneity(
+            A, counted_inverse(phi, sizes), psi, grid=G), rows)
+        reference = verify.ResidualReport(
+            passed=max_res <= report.tol, max_residual=max_res, witness=witness,
+            grid_n=G.n, tol=report.tol, label=report.label)
+        if math.isnan(max_res):
+            assert math.isnan(report.max_residual)
+            assert report == dataclasses.replace(reference, max_residual=report.max_residual)
+        else:
+            assert report == reference
+        assert sizes and max(sizes) <= rows * m
+
+
+def test_signed_zero_case_puts_both_zeros_in_phi_of_base():
+    p = G.points
+    V = signed_zero_product().evaluator(p[:, None], p[None, :])
+    W = PhiSpec.from_expr("x/(1-x)", b=math.inf).evaluator(V)
+    zeros = W[W == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+def test_min_at_n100_inverts_rows_times_distinct_values():
+    # min takes the 101 grid values on its 10,201 base points; the whole
+    # cube (1,030,301 lanes) is one chunk, which inverts 101 x 101 lanes
+    g100 = make_grid(100)
+    phi = PhiSpec.from_expr("x/(1-x)", b=math.inf)
+    sizes = []
+    report = check_quasi_homogeneity(catalog_lookup("min"), counted_inverse(phi, sizes),
+                                     PsiSpec.power(1.0), grid=g100)
+    assert distinct_count(phi, catalog_lookup("min"), g100) == 101
+    assert sizes and max(sizes) <= 101 * 101
+    assert report.passed is False
