@@ -341,8 +341,10 @@ def check_aggregation(A: AggregationFunction, grid: Grid | None = None,
 
 
 def _sample(fn, p) -> np.ndarray:
-    """fn on the base grid: ``V[i, j] = fn(p[i], p[j])``."""
-    return np.asarray(fn(p[:, None], p[None, :]), dtype=float)
+    """fn on the base grid: ``V[i, j] = fn(p[i], p[j])``, always (n+1, n+1),
+    even where fn returns a constant or a single broadcast axis."""
+    return np.broadcast_to(np.asarray(fn(p[:, None], p[None, :]), dtype=float),
+                           (len(p), len(p)))
 
 
 def _aggregation_report(V: np.ndarray, g: Grid, tol: float) -> AggregationReport:
@@ -413,7 +415,8 @@ def check_quasi_homogeneity(A: AggregationFunction, phi: PhiSpec, psi: PsiSpec,
     to the residual of the scaling law. A lane whose multiplier is exactly
     0 takes phi_inv(0). A chunk of lam rows with no other multiplier, which
     is every chunk of a step psi, inverts phi at 0 on one lane only; a
-    chunk with any other multiplier inverts all of its lanes.
+    chunk with any other multiplier inverts phi once per lam row and
+    distinct value of phi(A) on the base grid.
     """
     g = grid or default_grid()
     return _sweep(A.evaluator, _sample(A.evaluator, g.points), _scaling_rhs(phi, psi), g,
@@ -440,11 +443,12 @@ def _scaling_rhs(phi: PhiSpec, psi: PsiSpec):
             S = np.asarray(psi(L), dtype=float)
             if np.all((S == 0.0) | (S == 1.0)):
                 # with multipliers 0 and 1 only, every inverted lane is phi_inv(0)
-                Y = np.asarray(phi.inverse(np.zeros((1, 1, 1))), dtype=float)
+                Y = np.full((len(S), *V.shape), phi.inverse(np.zeros((1, 1, 1))), dtype=float)
             else:
                 Y = np.asarray(phi.inverse(ext_mul(S[:, :, 0], w[None, :])), dtype=float)
                 Y = Y[:, at].reshape(len(S), *V.shape)
-            return np.where(S == 1.0, V[None, :, :], Y)
+            Y[S[:, 0, 0] == 1.0] = V
+            return Y
 
         return expected
 
@@ -456,31 +460,41 @@ def _order_rhs(k: float):
     return lambda base: lambda L: np.power(L, k) * base[None, :, :]
 
 
-#: Lanes per chunk of the lam sweep. A chunk holds at least one lam row, so
-#: the sweep's working set grows as O(n^2) rather than O(n^3).
-SWEEP_CHUNK_LANES = 1 << 20
+#: Lanes per chunk of the lam sweep: 2^18, so that one float64 slab of a
+#: chunk is 2 MiB and fits in a core's L2 cache. A chunk holds at least one
+#: lam row, so the sweep's working set grows as O(n^2) rather than O(n^3).
+SWEEP_CHUNK_LANES = 1 << 18
 
 
 def _sweep(fn, base: np.ndarray, rhs, g: Grid, tol: float, label: str = "") -> ResidualReport:
     """Max of ``|fn(lam x, lam y) - rhs(base)(lam)|`` over the grid cubed.
 
-    ``base`` is the caller's sample of the base grid (see ``_sample``);
-    ``rhs(base)`` maps a column of lam values, shaped (rows, 1, 1), to the
-    expected slab of the cube. The cube is streamed in lam-major chunks of
-    about SWEEP_CHUNK_LANES lanes. The witness is the first argmax in C
-    order, as over the whole cube: a chunk maximum replaces the running
-    one only when strictly larger, and a NaN maximum wins and ends the scan.
-    Every evaluator, numeric inversions included, gives the same report
-    for any chunking.
+    ``base`` is the caller's (n+1, n+1) sample of the base grid (see
+    ``_sample``). ``rhs(base)`` maps a column of lam values, shaped
+    (rows, 1, 1), to the expected slab of the cube: a fresh, full
+    (rows, n+1, n+1) array, which the sweep overwrites with the residual.
+    ``fn``'s output is only read; it may be a broadcast or read-only view.
+    The cube is streamed in lam-major chunks of at most SWEEP_CHUNK_LANES
+    lanes (a 2 MiB float64 slab) whenever one lam row fits. The rows are
+    spread evenly, so chunk sizes differ by at most one row and no short
+    tail chunk pays for a whole inversion call. The witness is the first
+    argmax in C order, as over the whole cube: a chunk maximum replaces the
+    running one only when strictly larger, and a NaN maximum wins and ends
+    the scan. Every evaluator, numeric inversions included, gives the same
+    report for any chunking.
     """
     p = g.points
+    n1 = len(p)
     expected = rhs(base)
-    rows = max(1, SWEEP_CHUNK_LANES // len(p) ** 2)
+    chunks = -(-n1 // max(1, SWEEP_CHUNK_LANES // n1 ** 2))
     max_res, witness = -1.0, None
-    for k0 in range(0, len(p), rows):
-        L = p[k0:k0 + rows, None, None]
+    for c in range(chunks):
+        k0 = c * n1 // chunks
+        L = p[k0:(c + 1) * n1 // chunks, None, None]
         lhs = np.asarray(fn(L * p[None, :, None], L * p[None, None, :]), dtype=float)
-        resid = np.abs(lhs - expected(L))
+        resid = expected(L)
+        np.subtract(lhs, resid, out=resid)
+        np.abs(resid, out=resid)
         k, i, j = np.unravel_index(int(np.argmax(resid)), resid.shape)
         chunk_max = float(resid[k, i, j])
         if chunk_max > max_res or np.isnan(chunk_max):

@@ -255,8 +255,9 @@ def test_signed_zero_case_puts_both_zeros_in_phi_of_base():
 
 
 def test_min_at_n100_inverts_rows_times_distinct_values():
-    # min takes the 101 grid values on its 10,201 base points; the whole
-    # cube (1,030,301 lanes) is one chunk, which inverts 101 x 101 lanes
+    # min takes the 101 grid values on its 10,201 base points; the cube
+    # (1,030,301 lanes) streams in 5 chunks of 20 or 21 lam rows, and no
+    # chunk inverts more than 101 x 101 lanes
     g100 = make_grid(100)
     phi = PhiSpec.from_expr("x/(1-x)", b=math.inf)
     sizes = []
@@ -265,3 +266,121 @@ def test_min_at_n100_inverts_rows_times_distinct_values():
     assert distinct_count(phi, catalog_lookup("min"), g100) == 101
     assert sizes and max(sizes) <= 101 * 101
     assert report.passed is False
+
+
+# ------------------------------------------- chunk plan at the default budget
+
+
+@pytest.mark.parametrize("n", [10, 50, 100, 200])
+def test_default_chunk_plan_covers_every_row_once_in_balanced_chunks(n):
+    g = make_grid(n)
+    n1 = len(g)
+    lams = []
+
+    def counting(x, y):
+        if np.ndim(x) == 3:  # a chunk of the cube, not the base sample
+            lams.append(x[:, -1, 0].copy())  # x = lam * 1 on the last x-row
+        return x * y
+
+    check_homogeneous_order(counting, 2.0, grid=g)
+    assert np.array_equal(np.concatenate(lams), g.points)
+    rows = [len(c) for c in lams]
+    assert max(rows) - min(rows) <= 1
+    if n1 ** 2 <= verify.SWEEP_CHUNK_LANES:
+        assert max(rows) * n1 ** 2 <= verify.SWEEP_CHUNK_LANES
+
+
+# ------------------------------ the residual never overwrites fn's output
+
+
+def read_only_view(A):
+    """A whose output is a read-only broadcast view of A's."""
+    def evaluator(x, y):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        return np.broadcast_to(A.evaluator(x, y), shape)
+    return AggregationFunction(evaluator=evaluator, provenance="test", name=f"{A.name}+ro")
+
+
+def full_copy(A):
+    """A whose output is a fresh, writable array of the full broadcast shape."""
+    def evaluator(x, y):
+        out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        out[...] = A.evaluator(x, y)
+        return out
+    return AggregationFunction(evaluator=evaluator, provenance="test", name=A.name)
+
+
+def bumped(x, y):
+    return x * y * (1.0 + 0.1 * x * (1.0 - x))
+
+
+VIEW_AGGS = {
+    # (rows, n+1, 1) on the cube and (n+1, 1) on the base grid
+    "first": AggregationFunction(evaluator=lambda x, y: x, provenance="test", name="first"),
+    # a 0-d array everywhere
+    "half": AggregationFunction(evaluator=lambda x, y: np.float64(0.5), provenance="test",
+                                name="half"),
+    "product-ro": read_only_view(catalog_lookup("product")),
+    "min-ro": read_only_view(catalog_lookup("min")),
+    # Class-1 diagonal, refuted by the scaling law
+    "bumped-ro": read_only_view(AggregationFunction(evaluator=bumped, provenance="test",
+                                                    name="bumped")),
+}
+VIEW_ROWS = (1, 5, None)  # None: the default budget
+
+
+def order_reference(fn, k, g):
+    """Max residual and first-argmax witness of the order-k law, whole cube."""
+    p = g.points
+    L = p[:, None, None]
+    V = np.asarray(fn(p[:, None], p[None, :]), dtype=float)
+    lhs = np.asarray(fn(L * p[None, :, None], L * p[None, None, :]), dtype=float)
+    resid = np.abs(lhs - np.power(L, k) * V[None, :, :])
+    k_, i, j = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    return float(resid[k_, i, j]), (float(p[k_]), float(p[i]), float(p[j]))
+
+
+def at_each_chunking(monkeypatch, check):
+    for rows in VIEW_ROWS:
+        if rows is None:
+            monkeypatch.undo()
+            yield check()
+        else:
+            yield run_chunked(monkeypatch, check, rows)
+
+
+@pytest.mark.parametrize("psi", [PsiSpec.power(2.0), PsiSpec.step_at_one(),
+                                 PsiSpec.step_at_zero()], ids=["c=2", "step1", "step0"])
+@pytest.mark.parametrize("agg", VIEW_AGGS)
+def test_view_output_scaling_law_matches_whole_cube(monkeypatch, agg, psi):
+    A, phi = VIEW_AGGS[agg], PhiSpec.from_expr("x^2")
+    max_res, witness = whole_cube_reference(full_copy(A), phi, psi, G)
+    for report in at_each_chunking(monkeypatch, lambda: check_quasi_homogeneity(
+            A, phi, psi, grid=G)):
+        assert report == verify.ResidualReport(
+            passed=max_res <= report.tol, max_residual=max_res, witness=witness,
+            grid_n=G.n, tol=report.tol, label=report.label)
+
+
+@pytest.mark.parametrize("agg", VIEW_AGGS)
+def test_view_output_homogeneous_order_matches_whole_cube(monkeypatch, agg):
+    fn = VIEW_AGGS[agg].evaluator
+    max_res, witness = order_reference(full_copy(VIEW_AGGS[agg]).evaluator, 1.5, G)
+    for report in at_each_chunking(monkeypatch, lambda: check_homogeneous_order(
+            fn, 1.5, grid=G)):
+        assert (report.max_residual, report.witness) == (max_res, witness)
+
+
+def verdict_of(report):
+    return report.verdict, report.witness, report.reason, report.diagnostics
+
+
+@pytest.mark.parametrize("agg", VIEW_AGGS)
+def test_view_output_classify_matches_full_output_whole_cube(monkeypatch, agg):
+    A = VIEW_AGGS[agg]
+    reference = run_chunked(monkeypatch, lambda: verify.classify(full_copy(A), grid=G),
+                            len(G))
+    for report in at_each_chunking(monkeypatch, lambda: verify.classify(A, grid=G)):
+        assert verdict_of(report) == verdict_of(reference)
+    if agg == "bumped-ro":
+        assert reference.verdict == verify.NOT_QH and "scaling law" in reference.reason
