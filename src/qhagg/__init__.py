@@ -11,6 +11,9 @@ with boundary constants, and the functions constant 0 on [0,1)^2 with
 boundary sections. This package constructs members of all three classes,
 verifies the defining properties numerically on grids, recovers the
 scaling pair (phi, psi), and classifies arbitrary inputs.
+
+On glibc, importing the package fixes the allocator's trim and mmap
+thresholds, so that freed array buffers stay in the heap (see ``heap``).
 """
 
 from .algebra import (
@@ -45,6 +48,7 @@ from .errors import (
     QhaggError,
 )
 from .exprparse import Expr, eval_expr, format_expr, parse_expr
+from .heap import keep_freed_buffers
 from .numerics import (
     Grid,
     bisect_increasing,
@@ -71,6 +75,8 @@ from .verify import (
     fit_power_exponent,
     recover_psi,
 )
+
+keep_freed_buffers()
 
 __version__ = "0.1.0"
 
