@@ -185,10 +185,11 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     A = build_aggregation(spec_from_args(args), validate=False)
     grid = make_grid(args.grid)
+    # the default tolerances live in the library
+    tol = {} if args.tol is None else {"tol": args.tol}
 
     if args.mode == "agg":
-        tol = 1e-9 if args.tol is None else args.tol
-        report = verify.check_aggregation(A, grid=grid, tol=tol)
+        report = verify.check_aggregation(A, grid=grid, **tol)
         print(report)
         print(_result_line(report.passed, report.max_violation))
         return 0 if report.passed else 1
@@ -198,13 +199,12 @@ def cmd_check(args) -> int:
             raise QhaggError("--mode qh requires --psi")
         psi = parse_psi(args.psi)
         phi = parse_phi(args.phi, args.phi_b)
-        report = verify.check_quasi_homogeneity(A, phi, psi, grid=grid, tol=args.tol)
+        report = verify.check_quasi_homogeneity(A, phi, psi, grid=grid, **tol)
         print(report)
         print(_result_line(report.passed, report.max_residual))
         return 0 if report.passed else 1
 
-    tol = 1e-6 if args.tol is None else args.tol
-    report = verify.classify(A, grid=grid, tol=tol)
+    report = verify.classify(A, grid=grid, **tol)
     print(render_classification(report, grid))
     if report.reason:
         print(f"reason: {report.reason}")

@@ -109,11 +109,12 @@ def interval_at(points, w) -> tuple[float, float] | None:
     return None if w is None else (float(points[w[0]]), float(points[w[0] + 1]))
 
 
-#: Bracket table for ``bisect_increasing``, as fractions of [lo, hi]: 64
-#: uniform steps plus the powers 2^-k down to 2^-60, so that power-like
-#: functions get brackets as tight near ``lo`` as elsewhere.
+#: Bracket table for ``bisect_increasing`` on [0, 1]: 64 uniform steps plus
+#: the powers 2^-k down to 2^-60, so that power-like functions get brackets
+#: as tight near 0 as elsewhere.
 _BRACKET_TABLE = np.concatenate([[0.0], np.exp2(-np.arange(60.0, 6.0, -1.0)),
                                  np.arange(1.0, 65.0) / 64.0])
+_BRACKET_TABLE.setflags(write=False)
 
 #: Every eighth power 2^-k from 2^-1072 to 2^-64, spliced in between the
 #: first two points of ``_BRACKET_TABLE`` for a batch with a target below
@@ -121,9 +122,10 @@ _BRACKET_TABLE = np.concatenate([[0.0], np.exp2(-np.arange(60.0, 6.0, -1.0)),
 #: 2^-60 then get a tight bracket too. A batch without one never samples
 #: these points, which are mostly subnormal and slow to compute with.
 _DEEP_TABLE = np.exp2(-np.arange(1072.0, 63.0, -8.0))
+_DEEP_TABLE.setflags(write=False)
 
-#: A lane has converged once its bracket is at most this fraction of
-#: [lo, hi] wide (and its residual is within tol).
+#: A lane has converged once its bracket is at most this wide (and its
+#: residual is within tol).
 _X_TOL = 2.0 ** -44
 
 #: ``bisect_increasing`` refines its sorted distinct targets in blocks of
@@ -152,8 +154,8 @@ def distinct(values):
     return w, at
 
 
-def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: float = 1.0):
-    """Solve fn(x) = y on [lo, hi] for a nondecreasing elementwise fn.
+def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL):
+    """Solve fn(x) = y on [0, 1] for a nondecreasing elementwise fn.
 
     Accepts scalar or array ``y``. Each distinct target is solved once,
     and a lane's result depends on its target alone, never on the rest of
@@ -161,9 +163,9 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: 
     target (``_BRACKET_TABLE``, plus ``_DEEP_TABLE`` when some target lies
     below fn(2^-60)); Chandrupatla's interpolation, falling back to
     bisection, then refines each bracket until ``|fn(x) - y| <= tol``
-    and the bracket is at most 2^-44 (hi - lo) wide. Targets at or beyond
-    an endpoint image (within tol) are returned as that endpoint, which
-    keeps inverses exact where the function may have zero slope. Only the
+    and the bracket is at most 2^-44 wide. Targets at or beyond an
+    endpoint image (within tol) are returned as that endpoint, which keeps
+    inverses exact where the function may have zero slope. Only the
     targets strictly between the endpoint images are sorted and refined,
     in blocks of ``_REFINE_BLOCK`` lanes.
 
@@ -171,43 +173,40 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL, lo: float = 0.0, hi: 
     a jump of ``fn`` (its bracket shrinks to adjacent floats), or one still
     open after MAX_BISECT_ITER rounds.
 
-    Raises DomainError if some y lies outside [fn(lo) - tol, fn(hi) + tol].
+    Raises DomainError if some y lies outside [fn(0) - tol, fn(1) + tol].
     """
     scalar = _is_scalar(y)
     y_arr = np.asarray(y, dtype=float)
     if y_arr.size == 0:
         return y_arr.copy()
     flat = y_arr.ravel()
-    xs = lo + (hi - lo) * _BRACKET_TABLE
-    xs[-1] = hi
+    xs = _BRACKET_TABLE
     fs = np.asarray(fn(xs), dtype=float)
     f_lo, f_hi = fs[0], fs[-1]
     bad = (flat < f_lo - tol) | (flat > f_hi + tol)
     if bad.any():
         raise DomainError(
-            f"target {float(flat[np.argmax(bad)])!r} is not bracketed by [{lo}, {hi}] "
+            f"target {float(flat[np.argmax(bad)])!r} is not bracketed by [0.0, 1.0] "
             "(no solution within tol)"
         )
 
     inner = (flat > f_lo) & (flat < f_hi)
     targets, at = distinct(flat[inner])
     if targets.size and targets[0] < fs[1]:
-        deep = lo + (hi - lo) * _DEEP_TABLE
-        xs = np.concatenate([xs[:1], deep, xs[1:]])
-        fs = np.concatenate([fs[:1], np.asarray(fn(deep), dtype=float), fs[1:]])
+        xs = np.concatenate([xs[:1], _DEEP_TABLE, xs[1:]])
+        fs = np.concatenate([fs[:1], np.asarray(fn(_DEEP_TABLE), dtype=float), fs[1:]])
     for b in range(0, targets.size, _REFINE_BLOCK):
         # the targets are overwritten by their roots, block by block
-        targets[b:b + _REFINE_BLOCK] = _refine(fn, targets[b:b + _REFINE_BLOCK], xs, fs,
-                                               tol, _X_TOL * (hi - lo))
+        targets[b:b + _REFINE_BLOCK] = _refine(fn, targets[b:b + _REFINE_BLOCK], xs, fs, tol)
     out = np.full(flat.shape, np.nan)
-    out[flat >= f_hi] = hi
-    out[flat <= f_lo] = lo
+    out[flat >= f_hi] = 1.0
+    out[flat <= f_lo] = 0.0
     out[inner] = targets[at]
     out = out.reshape(y_arr.shape)
     return float(out) if scalar else out
 
 
-def _refine(fn, y, xs, fs, tol, xtol):
+def _refine(fn, y, xs, fs, tol):
     """Chandrupatla's bracketed root finder, lane by lane.
 
     Each target y starts from the table bracket fs[j-1] <= y < fs[j].
@@ -220,7 +219,7 @@ def _refine(fn, y, xs, fs, tol, xtol):
     # x1 is the newest point, x2 the other end of the bracket, x3 the
     # point dropped last; f* are residuals fn(x*) - y
     x1, f1, x2, f2 = xs[j - 1], fs[j - 1] - y, xs[j], fs[j] - y
-    # a subnormal bracket overflows xtol / |dx|, which only caps tl at 0.5
+    # a subnormal bracket overflows _X_TOL / |dx|, which only caps tl at 0.5
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = f1 / (f1 - f2)  # first step: linear interpolation
         for rnd in range(MAX_BISECT_ITER + 1):
@@ -228,9 +227,9 @@ def _refine(fn, y, xs, fs, tol, xtol):
             a1, a2 = np.abs(f1), np.abs(f2)
             near1 = a1 <= a2
             best = np.where(near1, a1, a2)
-            done = (best == 0.0) | ((best <= tol) & (np.abs(dx) <= xtol))
+            done = (best == 0.0) | ((best <= tol) & (np.abs(dx) <= _X_TOL))
             out[lane[done]] = np.where(near1, x1, x2)[done]
-            tl = np.minimum(0.5, 0.5 * xtol / np.abs(dx))
+            tl = np.minimum(0.5, 0.5 * _X_TOL / np.abs(dx))
             x = x1 + np.clip(t, tl, 1.0 - tl) * dx
             # a NaN residual or a bracket of adjacent floats cannot improve
             keep = ~done & ~np.isnan(f1) & (x != x1) & (x != x2)

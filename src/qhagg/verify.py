@@ -18,6 +18,7 @@ indicators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -409,55 +410,47 @@ def check_quasi_homogeneity(A: AggregationFunction, phi: PhiSpec, psi: PsiSpec,
     residual(lam, x, y) = |A(lam x, lam y) - phi_inv(psi(lam) * phi(A(x, y)))|
 
     The product uses extended arithmetic (0 * inf = 0) so unbounded phi is
-    handled. A lane whose multiplier psi(lam) is exactly 1 takes A(x, y)
-    itself, never the round trip phi_inv(phi(A(x, y))): that identity is a
-    contract of phi, checked separately, and inverting would only add noise
-    to the residual of the scaling law. A lane whose multiplier is exactly
-    0 takes phi_inv(0). A chunk of lam rows with no other multiplier, which
-    is every chunk of a step psi, inverts phi at 0 on one lane only; a
-    chunk with any other multiplier inverts phi once per lam row and
-    distinct value of phi(A) on the base grid.
+    handled. Each lam row takes one of three rules (see ``_scaling_rhs``):
+    a row whose multiplier psi(lam) is exactly 1 takes A(x, y) itself,
+    never the round trip phi_inv(phi(A(x, y))): that identity is a contract
+    of phi, checked separately, and inverting would only add noise to the
+    residual of the scaling law. A row whose multiplier is exactly 0 takes
+    phi_inv(0), inverted on one lane; so a step psi never inverts phi on
+    the cube. Any other row inverts phi once per distinct value of phi(A)
+    on the base grid.
     """
     g = grid or default_grid()
-    return _sweep(A.evaluator, _sample(A.evaluator, g.points), _scaling_rhs(phi, psi), g,
+    return _sweep(A.evaluator, _scaling_rhs(phi, psi, _sample(A.evaluator, g.points)), g,
                   _resolve_qh_tol(tol, phi),
                   f"quasi-homogeneity psi={psi.describe()} phi={phi.name}")
 
 
-def _scaling_rhs(phi: PhiSpec, psi: PsiSpec):
-    """``rhs(V)(lam) = phi_inv(psi(lam) * phi(V))``; multiplier 1 gives V itself.
+def _scaling_rhs(phi: PhiSpec, psi: PsiSpec, V: np.ndarray):
+    """``expected(lam) = phi_inv(psi(lam) * phi(V))`` by the row rule of
+    ``check_quasi_homogeneity``.
 
-    phi(V) is evaluated once, when the sweep binds ``rhs`` to its base sample.
-    For a power psi its distinct values are found then too, and a chunk
-    inverts phi once per lam row and distinct value, not once per lane. A
-    chunk whose multipliers are all 0 or 1 (every chunk of a step psi)
-    inverts phi at 0 on a single lane, not on the whole chunk.
+    phi(V), its distinct values and phi_inv(0) are computed once, here.
+    psi is nondecreasing, so in a chunk the 0-rows form a prefix and the
+    1-rows a suffix.
     """
+    w, at = distinct(np.asarray(phi.evaluator(V), dtype=float).ravel())
+    zero = np.asarray(phi.inverse(np.zeros(1)), dtype=float)
 
-    def rhs(V):
-        W = np.asarray(phi.evaluator(V), dtype=float)
-        # only a power psi has multipliers other than 0 and 1
-        w, at = distinct(W.ravel()) if psi.kind == "power" else (None, None)
+    def expected(L):
+        S = np.asarray(psi(L[:, 0, 0]), dtype=float)
+        z, u = np.searchsorted(S, 0.0, side="right"), np.searchsorted(S, 1.0)
+        # invert before the slab is allocated, so it never coexists with
+        # phi_inv's temporaries
+        inv = np.asarray(phi.inverse(ext_mul(S[z:u, None], w[None, :])), dtype=float)
+        Y = np.empty((len(S), *V.shape))
+        Y[:z] = zero
+        # mode="clip" writes straight into Y; the default "raise" buffers
+        # a copy of the output first (every index in ``at`` is valid)
+        np.take(inv, at, axis=1, out=Y[z:u].reshape(u - z, V.size), mode="clip")
+        Y[u:] = V
+        return Y
 
-        def expected(L):
-            S = np.asarray(psi(L), dtype=float)
-            if np.all((S == 0.0) | (S == 1.0)):
-                # with multipliers 0 and 1 only, every inverted lane is phi_inv(0)
-                Y = np.full((len(S), *V.shape), phi.inverse(np.zeros((1, 1, 1))), dtype=float)
-            else:
-                Y = np.asarray(phi.inverse(ext_mul(S[:, :, 0], w[None, :])), dtype=float)
-                Y = Y[:, at].reshape(len(S), *V.shape)
-            Y[S[:, 0, 0] == 1.0] = V
-            return Y
-
-        return expected
-
-    return rhs
-
-
-def _order_rhs(k: float):
-    """``rhs(base)(lam) = lam^k * base``."""
-    return lambda base: lambda L: np.power(L, k) * base[None, :, :]
+    return expected
 
 
 #: Lanes per chunk of the lam sweep: 2^18, so that one float64 slab of a
@@ -466,14 +459,13 @@ def _order_rhs(k: float):
 SWEEP_CHUNK_LANES = 1 << 18
 
 
-def _sweep(fn, base: np.ndarray, rhs, g: Grid, tol: float, label: str = "") -> ResidualReport:
-    """Max of ``|fn(lam x, lam y) - rhs(base)(lam)|`` over the grid cubed.
+def _sweep(fn, expected, g: Grid, tol: float, label: str = "") -> ResidualReport:
+    """Max of ``|fn(lam x, lam y) - expected(lam)|`` over the grid cubed.
 
-    ``base`` is the caller's (n+1, n+1) sample of the base grid (see
-    ``_sample``). ``rhs(base)`` maps a column of lam values, shaped
-    (rows, 1, 1), to the expected slab of the cube: a fresh, full
-    (rows, n+1, n+1) array, which the sweep overwrites with the residual.
-    ``fn``'s output is only read; it may be a broadcast or read-only view.
+    ``expected`` maps a column of lam values, shaped (rows, 1, 1), to the
+    expected slab of the cube: a fresh, full (rows, n+1, n+1) array, which
+    the sweep overwrites with the residual. ``fn``'s output is only read;
+    it may be a broadcast or read-only view.
     The cube is streamed in lam-major chunks of at most SWEEP_CHUNK_LANES
     lanes (a 2 MiB float64 slab) whenever one lam row fits. The rows are
     spread evenly, so chunk sizes differ by at most one row and no short
@@ -485,7 +477,6 @@ def _sweep(fn, base: np.ndarray, rhs, g: Grid, tol: float, label: str = "") -> R
     """
     p = g.points
     n1 = len(p)
-    expected = rhs(base)
     chunks = -(-n1 // max(1, SWEEP_CHUNK_LANES // n1 ** 2))
     max_res, witness = -1.0, None
     for c in range(chunks):
@@ -535,8 +526,8 @@ def check_homogeneous_order(F, k: float, grid: Grid | None = None,
         raise DomainError(f"homogeneity order must be positive, got {k}")
     fn = F.evaluator if isinstance(F, AggregationFunction) else F
     g = grid or default_grid()
-    return _sweep(fn, _sample(fn, g.points), _order_rhs(k), g, tol,
-                  f"homogeneity of order {k:g}")
+    base = _sample(fn, g.points)
+    return _sweep(fn, lambda L: np.power(L, k) * base, g, tol, f"homogeneity of order {k:g}")
 
 
 # ------------------------------------------------------------ psi recovery
@@ -632,11 +623,16 @@ def diagonal_bijection_check(delta: UnitFunction, grid: Grid | None = None,
     input is evidence enough to skip nothing here; checks always run.
     """
     g = grid or default_grid()
+    return _diagonal_report(np.asarray(delta.evaluator(g.points), dtype=float), g, tol,
+                            gap_tol)
+
+
+def _diagonal_report(d: np.ndarray, g: Grid, tol: float,
+                     gap_tol: float | None = None) -> DiagonalReport:
+    """The check of ``diagonal_bijection_check`` on a sample d of the diagonal."""
     if gap_tol is None:
         gap_tol = 10.0 / g.n
     p = g.points
-    d = np.asarray(delta.evaluator(p), dtype=float)
-
     endpoints_ok = abs(float(d[0])) <= tol and abs(float(d[-1]) - 1.0) <= tol
     diffs = np.diff(d)
     first_flat = first_witness(diffs, diffs <= 0.0)
@@ -742,8 +738,8 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
     Branches 2 and 3 are mutually exclusive and both preclude a bijective
     diagonal, so at most one branch can succeed. Witnesses are reported in
     deterministic grid order. The verdict is evidence relative to the grid
-    and tolerance recorded in the report. A is sampled on the base grid
-    once; every check reads that sample.
+    and tolerance recorded in the report. A is sampled once on the base
+    grid and once on the diagonal; every check reads those samples.
     """
     g = grid or default_grid()
     if g.n < 2:
@@ -754,82 +750,65 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
     V = _sample(A.evaluator, p)
     agg = _aggregation_report(V, g, tol)
     diagnostics = {"aggregation": agg.max_violation}
+    report = functools.partial(ClassificationReport, diagnostics=diagnostics, grid_n=g.n,
+                               tol=tol)
     if not agg.passed:
         w = agg.witness[-1]
-        return ClassificationReport(
-            verdict=NOT_QH, witness=(1.0, w[0], w[1], agg.max_violation),
-            reason=f"not an aggregation function: {agg.reason}",
-            diagnostics=diagnostics, grid_n=g.n, tol=tol)
+        return report(verdict=NOT_QH, witness=(1.0, w[0], w[1], agg.max_violation),
+                      reason=f"not an aggregation function: {agg.reason}")
+
+    def scaling_law(base, found, refuted):
+        """None if A meets the scaling law with the canonical pair of the
+        candidate report ``found``, else the refutation."""
+        qh = _sweep(A.evaluator, _scaling_rhs(*canonical_pair(found), base), g, tol)
+        diagnostics["scaling_law"] = qh.max_residual
+        if not qh.passed:
+            return report(verdict=NOT_QH, witness=(*qh.witness, qh.max_residual),
+                          reason=refuted)
+        return None
 
     t = triple_of(A)
-    interior = np.asarray(t.f.evaluator(p), dtype=float)[1:-1]
+    d = np.asarray(t.f.evaluator(p), dtype=float)
 
-    if np.all(np.abs(interior - 1.0) <= tol):
+    if np.all(np.abs(d[1:-1] - 1.0) <= tol):
         alpha, beta = float(A(0.0, 1.0)), float(A(1.0, 0.0))
-        verdict, found, formula = CLASS2, {"alpha": alpha, "beta": beta}, flat_formula(alpha, beta)
-        level, psi, law, form = 1, PsiSpec.step_at_zero(), "step-at-zero", "flat-class"
-    elif np.all(np.abs(interior) <= tol):
-        verdict, found = CLASS3, {"g": t.g, "h": t.h}
+        found, formula = report(verdict=CLASS2, alpha=alpha, beta=beta), flat_formula(alpha, beta)
+        level, law, form = 1, "step-at-zero", "flat-class"
+    elif np.all(np.abs(d[1:-1]) <= tol):
+        found = report(verdict=CLASS3, g=t.g, h=t.h)
         formula = boundary_formula(t.g.evaluator, t.h.evaluator)
-        level, psi, law, form = 0, PsiSpec.step_at_one(), "step-at-one", "boundary-class"
+        level, law, form = 0, "step-at-one", "boundary-class"
     else:
-        return _classify_bijective(A, V, t.f, g, tol, diagnostics)
+        dbc = _diagonal_report(d, g, tol)
+        diagnostics["diagonal_max_jump"] = dbc.max_jump
+        if not dbc.passed:
+            x1, x2, d1, d2 = dbc.witness
+            if not dbc.strictly_increasing_ok:
+                why = "diagonal is not strictly increasing"
+            elif not dbc.endpoints_ok:
+                why = "diagonal endpoints are not (0, 1)"
+            else:
+                why = "diagonal jumps beyond the continuity heuristic"
+            return report(verdict=NOT_QH, witness=(x1, x2, x2, abs(d2 - d1)),
+                          reason=f"{why}: delta({x1!r})={d1!r}, delta({x2!r})={d2!r}")
+        found = report(verdict=CLASS1, delta=t.f.declared(
+            increasing=True, strictly_increasing=True, continuous_bijection=True))
+        # A(lam x, lam y) = delta(lam * delta_inv(A(x, y))): the diagonal is
+        # inverted on the base sample only, which the aggregation check admits
+        # up to tol outside [0, 1], the domain of delta_inv
+        return (scaling_law(np.clip(V, 0.0, 1.0), found, "diagonal is bijective but the "
+                            "scaling law with psi = id, phi = diagonal_inv fails")
+                or found)
 
-    key = f"{verdict.lower()}_formula"
+    key = f"{found.verdict.lower()}_formula"
     resid = np.abs(V - formula(p[:, None], p[None, :]))
     diagnostics[key] = float(np.max(resid))
     if diagnostics[key] <= tol:
-        return ClassificationReport(verdict=verdict, **found,
-                                    diagnostics=diagnostics, grid_n=g.n, tol=tol)
-    qh = _sweep(A.evaluator, V, _scaling_rhs(PhiSpec.identity(), psi), g, tol)
-    diagnostics["scaling_law"] = qh.max_residual
-    if not qh.passed:
-        return ClassificationReport(
-            verdict=NOT_QH, witness=(*qh.witness, qh.max_residual),
-            reason=f"interior diagonal is {level} but the {law} scaling law fails",
-            diagnostics=diagnostics, grid_n=g.n, tol=tol)
+        return found
     i, j = first_witness(resid, resid > tol)
-    return ClassificationReport(
-        verdict=NOT_QH, witness=(1.0, float(p[i]), float(p[j]), float(resid[i, j])),
-        reason=f"interior diagonal is {level} but the {form} formula fails",
-        diagnostics=diagnostics, grid_n=g.n, tol=tol)
-
-
-def _classify_bijective(A, V, delta, g, tol, diagnostics) -> ClassificationReport:
-    """Step 4 of ``classify``: bijective diagonal and the normalized scaling law."""
-    dbc = diagonal_bijection_check(delta, grid=g, tol=tol)
-    diagnostics["diagonal_max_jump"] = dbc.max_jump
-    if not dbc.passed:
-        x1, x2 = dbc.witness[0], dbc.witness[1]
-        gap = abs(dbc.witness[3] - dbc.witness[2])
-        if not dbc.strictly_increasing_ok:
-            why = "diagonal is not strictly increasing"
-        elif not dbc.endpoints_ok:
-            why = "diagonal endpoints are not (0, 1)"
-        else:
-            why = "diagonal jumps beyond the continuity heuristic"
-        return ClassificationReport(
-            verdict=NOT_QH, witness=(x1, x2, x2, gap),
-            reason=f"{why}: delta({x1!r})={dbc.witness[2]!r}, delta({x2!r})={dbc.witness[3]!r}",
-            diagnostics=diagnostics, grid_n=g.n, tol=tol)
-
-    delta_b = delta.declared(increasing=True, strictly_increasing=True,
-                             continuous_bijection=True)
-    # A(lam x, lam y) = delta(lam * delta_inv(A(x, y))): the diagonal is
-    # inverted on the base sample only, which the aggregation check admits
-    # up to tol outside [0, 1], the domain of delta_inv
-    qh = _sweep(A.evaluator, np.clip(V, 0.0, 1.0),
-                _scaling_rhs(PhiSpec.inverse_of(delta_b), PsiSpec.power(1.0)), g, tol)
-    diagnostics["scaling_law"] = qh.max_residual
-    if not qh.passed:
-        return ClassificationReport(
-            verdict=NOT_QH, witness=(*qh.witness, qh.max_residual),
-            reason="diagonal is bijective but the scaling law with psi = id, "
-                   "phi = diagonal_inv fails",
-            diagnostics=diagnostics, grid_n=g.n, tol=tol)
-
-    return ClassificationReport(verdict=CLASS1, delta=delta_b,
-                                diagnostics=diagnostics, grid_n=g.n, tol=tol)
+    return (scaling_law(V, found, f"interior diagonal is {level} but the {law} scaling law fails")
+            or report(verdict=NOT_QH, witness=(1.0, float(p[i]), float(p[j]), float(resid[i, j])),
+                      reason=f"interior diagonal is {level} but the {form} formula fails"))
 
 
 def canonical_pair(report: ClassificationReport) -> tuple[PhiSpec, PsiSpec]:

@@ -62,7 +62,7 @@ def test_tie_keeps_first_occurrence(monkeypatch):
 
     base = np.zeros((len(G), len(G)))
     per_row, whole = one_row_and_whole(
-        monkeypatch, lambda: verify._sweep(positive, base, zero_rhs, G, 0.5))
+        monkeypatch, lambda: verify._sweep(positive, zero_rhs(base), G, 0.5))
     assert per_row == whole
     step = float(G.points[1])
     assert whole.witness == (step, step, step) and whole.max_residual == 1.0
@@ -77,7 +77,7 @@ def test_nan_in_later_chunk_beats_larger_finite_residual(monkeypatch):
     g8 = make_grid(8)
     base = np.zeros((len(g8), len(g8)))
     reports = one_row_and_whole(
-        monkeypatch, lambda: verify._sweep(nan_at_quarter, base, zero_rhs, g8, 0.5), g8)
+        monkeypatch, lambda: verify._sweep(nan_at_quarter, zero_rhs(base), g8, 0.5), g8)
     for report in reports:
         assert math.isnan(report.max_residual)
         assert report.passed is False
@@ -384,3 +384,27 @@ def test_view_output_classify_matches_full_output_whole_cube(monkeypatch, agg):
         assert verdict_of(report) == verdict_of(reference)
     if agg == "bumped-ro":
         assert reference.verdict == verify.NOT_QH and "scaling law" in reference.reason
+
+
+# --------------------------------------- multipliers that underflow to 0
+
+
+def test_power_psi_multipliers_that_underflow_take_phi_inv_of_zero(monkeypatch):
+    # (1/12)^400 is exactly 0 and (2/12)^400 is subnormal, so the first
+    # chunk holds two 0-rows besides rows with tiny nonzero multipliers
+    A, phi, psi = catalog_lookup("product"), PhiSpec.from_expr("x^2"), PsiSpec.power(400.0)
+    p = G.points
+    assert np.count_nonzero(psi(p) == 0.0) == 2 and psi(p[2]) > 0.0
+
+    def expected(lam, v):
+        s = psi(lam)
+        return v if s == 1.0 else phi.invert(s * phi(v))
+
+    resid = np.array([[[abs(float(A(lam * x, lam * y)) - expected(lam, float(A(x, y))))
+                        for y in p] for x in p] for lam in p])
+    k, i, j = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    for report in one_row_and_whole(monkeypatch, lambda: check_quasi_homogeneity(
+            A, phi, psi, grid=G)):
+        assert report.max_residual == resid[k, i, j]
+        assert report.witness == (float(p[k]), float(p[i]), float(p[j]))
+        assert report.passed is False

@@ -33,7 +33,7 @@ from qhagg import (
     recover_psi,
     unit_function_from_expr,
 )
-from qhagg.algebra import UnitFunction
+from qhagg.algebra import AggregationFunction, UnitFunction
 from qhagg.verify import ClassificationReport
 
 GRID = make_grid(100)
@@ -408,6 +408,18 @@ class TestClassify:
         report = classify(catalog_lookup("product"), grid=G50)
         assert report.max_residual <= 1e-6
         assert report.diagnostics["diagonal_max_jump"] > 1e-3
+
+    @pytest.mark.parametrize("name", ["product", "drastic"])
+    def test_diagonal_is_sampled_once(self, name):
+        # the diagonal is the only evaluation of A on a 1-d array of grid points
+        A, calls = catalog_lookup(name), []
+
+        def evaluator(x, y):
+            calls.append(np.shape(x))
+            return A.evaluator(x, y)
+
+        classify(AggregationFunction(evaluator, provenance="counted"), grid=G50)
+        assert calls.count((len(G50),)) == 1
 
     def test_degenerate_grid_rejected(self):
         # n = 1 has no interior points, so every interior test is vacuous
