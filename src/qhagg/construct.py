@@ -167,14 +167,21 @@ def from_triple(t: GeneratorTriple, *, validate: bool = True,
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        # pick the branch first, so that f_inv runs once per lane
+        # pick the branch first, so that f_inv runs once per lane and each
+        # section only on its own lanes
         upper = (x <= y) & (y != 0.0)
-        big, small = np.where(upper, y, x), np.where(upper, x, y)
-        # the (0, 0) lane (masked out below) divides by 1
-        r = np.clip(small / np.where(big == 0.0, 1.0, big), 0.0, 1.0)
-        section = np.where(upper, h_ev(r), g_ev(r))
-        out = f_ev(big * np.asarray(f_inv(np.clip(section, 0.0, 1.0)), dtype=float))
-        return np.where((x == 0.0) & (y == 0.0), 0.0, out)
+        big, r = np.where(upper, y, x), np.where(upper, x, y)
+        # the ratio, in place; only the (0, 0) lane has big = 0, and it
+        # keeps r = 0 (masked out below)
+        np.divide(r, big, out=r, where=big != 0.0)
+        np.clip(r, 0.0, 1.0, out=r)
+        # r becomes the section, branch by branch (a mask index copies)
+        r[upper] = h_ev(r[upper])
+        lower = ~upper
+        r[lower] = g_ev(r[lower])
+        np.clip(r, 0.0, 1.0, out=r)
+        np.multiply(big, f_inv(r), out=big)
+        return np.where((x == 0.0) & (y == 0.0), 0.0, f_ev(big))
 
     return AggregationFunction(
         evaluator=evaluate,

@@ -1,12 +1,14 @@
 """Keep freed array buffers in the process heap on glibc.
 
-Every evaluation on a sweep chunk allocates and frees a dozen slab-sized
-numpy temporaries. glibc's default heap returns its free top to the
-kernel as soon as that exceeds twice the largest buffer freed so far
-(about 2 MiB for 1 MiB slabs), so the next evaluation faults every page
-back in. On the triple-expr benchmark that was 27,000-34,000 minor page
-faults per pass, a quarter of its time, and the count swung by a quarter
-with incidental changes to the order of allocations.
+A sweep allocates and frees a 1 MiB slab for every chunk of the cube,
+and every evaluation on a tile of a chunk allocates and frees a handful
+of temporaries of up to 512 KiB. glibc's default heap returns its free
+top to the kernel as soon as that exceeds twice the largest buffer freed
+so far (about 2 MiB once a 1 MiB slab has been freed), so the next
+evaluation faults every page back in. On the triple-expr benchmark, when
+chunks of 2^18 lanes were evaluated whole, that was 27,000-34,000 minor
+page faults per pass, a quarter of its time, and the count swung by a
+quarter with incidental changes to the order of allocations.
 
 ``keep_freed_buffers`` fixes the two thresholds instead: buffers under
 4 MiB come from the heap, and up to 16 MiB of free heap top stays

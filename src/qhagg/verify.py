@@ -429,34 +429,55 @@ def _scaling_rhs(phi: PhiSpec, psi: PsiSpec, V: np.ndarray):
     """``expected(lam) = phi_inv(psi(lam) * phi(V))`` by the row rule of
     ``check_quasi_homogeneity``.
 
-    phi(V), its distinct values and phi_inv(0) are computed once, here.
-    psi is nondecreasing, so in a chunk the 0-rows form a prefix and the
-    1-rows a suffix.
+    phi_inv(0) is computed once, here; phi(V) and its distinct values once,
+    on the first chunk with a multiplier strictly between 0 and 1, so a
+    step psi never sorts them. psi is nondecreasing, so in a chunk the
+    0-rows form a prefix and the 1-rows a suffix.
     """
-    w, at = distinct(np.asarray(phi.evaluator(V), dtype=float).ravel())
     zero = np.asarray(phi.inverse(np.zeros(1)), dtype=float)
+    phi_of_base = functools.cache(
+        lambda: distinct(np.asarray(phi.evaluator(V), dtype=float).ravel()))
 
     def expected(L):
         S = np.asarray(psi(L[:, 0, 0]), dtype=float)
         z, u = np.searchsorted(S, 0.0, side="right"), np.searchsorted(S, 1.0)
-        # invert before the slab is allocated, so it never coexists with
-        # phi_inv's temporaries
-        inv = np.asarray(phi.inverse(ext_mul(S[z:u, None], w[None, :])), dtype=float)
+        if z < u:
+            w, at = phi_of_base()
+            # invert before the slab is allocated, so it never coexists with
+            # phi_inv's temporaries
+            inv = np.asarray(phi.inverse(ext_mul(S[z:u, None], w[None, :])), dtype=float)
         Y = np.empty((len(S), *V.shape))
         Y[:z] = zero
-        # mode="clip" writes straight into Y; the default "raise" buffers
-        # a copy of the output first (every index in ``at`` is valid)
-        np.take(inv, at, axis=1, out=Y[z:u].reshape(u - z, V.size), mode="clip")
+        if z < u:
+            # mode="clip" writes straight into Y; the default "raise" buffers
+            # a copy of the output first (every index in ``at`` is valid)
+            np.take(inv, at, axis=1, out=Y[z:u].reshape(u - z, V.size), mode="clip")
         Y[u:] = V
         return Y
 
     return expected
 
 
-#: Lanes per chunk of the lam sweep: 2^18, so that one float64 slab of a
-#: chunk is 2 MiB and fits in a core's L2 cache. A chunk holds at least one
-#: lam row, so the sweep's working set grows as O(n^2) rather than O(n^3).
-SWEEP_CHUNK_LANES = 1 << 18
+#: Lanes per chunk of the lam sweep: 2^17, a 1 MiB float64 slab. A chunk
+#: is the unit of ``expected``, and so of the inversions behind it: one
+#: call per chunk, which solves each distinct target of the chunk once.
+#: A chunk holds at least one lam row, so from n = 362 on, where a row
+#: outgrows the budget, the slab grows as O(n^2), never as O(n^3).
+SWEEP_CHUNK_LANES = 1 << 17
+
+#: Lanes per call of the evaluator inside a chunk: half a chunk, 2^16
+#: (512 KiB per float64 temporary). A tile is a block of x-lines of the
+#: chunk, at least one, so the evaluator's temporaries stay in a core's L2
+#: cache whatever the chunk holds. Derived from the chunk budget, not tuned
+#: on its own: the evaluator's temporaries then never outweigh the slab.
+SWEEP_TILE_LANES = SWEEP_CHUNK_LANES // 2
+
+
+def _spread(total: int, width: int):
+    """``ceil(total / width)`` consecutive ranges covering range(total),
+    each at most ``width`` long (at least one) and differing by at most one."""
+    parts = -(-total // max(1, width))
+    return [(c * total // parts, (c + 1) * total // parts) for c in range(parts)]
 
 
 def _sweep(fn, expected, g: Grid, tol: float, label: str = "") -> ResidualReport:
@@ -466,28 +487,36 @@ def _sweep(fn, expected, g: Grid, tol: float, label: str = "") -> ResidualReport
     expected slab of the cube: a fresh, full (rows, n+1, n+1) array, which
     the sweep overwrites with the residual. ``fn``'s output is only read;
     it may be a broadcast or read-only view.
-    The cube is streamed in lam-major chunks of at most SWEEP_CHUNK_LANES
-    lanes (a 2 MiB float64 slab) whenever one lam row fits. The rows are
-    spread evenly, so chunk sizes differ by at most one row and no short
-    tail chunk pays for a whole inversion call. The witness is the first
-    argmax in C order, as over the whole cube: a chunk maximum replaces the
-    running one only when strictly larger, and a NaN maximum wins and ends
-    the scan. Every evaluator, numeric inversions included, gives the same
-    report for any chunking.
+    The sweep has two levels. The cube is streamed in lam-major chunks of
+    at most SWEEP_CHUNK_LANES lanes whenever one lam row fits, with the
+    rows spread evenly, so chunk sizes differ by at most one row and no
+    short tail chunk pays for a whole inversion call; ``expected`` runs
+    once per chunk. Inside a chunk, ``fn`` runs on blocks of x-lines of at
+    most SWEEP_TILE_LANES lanes, also spread evenly, and each block's
+    residual is written into its part of the slab before the next block
+    is evaluated. The witness is the first argmax in C order, as over the
+    whole cube: a chunk is scanned once all of its blocks are written, its
+    maximum replaces the running one only when strictly larger, and a NaN
+    maximum wins and ends the scan. Every evaluator, numeric inversions
+    included, gives the same report for any chunking and tiling.
     """
     p = g.points
     n1 = len(p)
-    chunks = -(-n1 // max(1, SWEEP_CHUNK_LANES // n1 ** 2))
     max_res, witness = -1.0, None
-    for c in range(chunks):
-        k0 = c * n1 // chunks
-        L = p[k0:(c + 1) * n1 // chunks, None, None]
-        lhs = np.asarray(fn(L * p[None, :, None], L * p[None, None, :]), dtype=float)
+    for k0, k1 in _spread(n1, SWEEP_CHUNK_LANES // n1 ** 2):
+        L = p[k0:k1, None, None]
         resid = expected(L)
-        np.subtract(lhs, resid, out=resid)
-        np.abs(resid, out=resid)
+        Ly = L * p[None, None, :]
+        for i0, i1 in _spread(n1, SWEEP_TILE_LANES // ((k1 - k0) * n1)):
+            lhs = np.asarray(fn(L * p[None, i0:i1, None], Ly), dtype=float)
+            part = resid[:, i0:i1, :]
+            np.subtract(lhs, part, out=part)
+            np.abs(part, out=part)
+            # so that lhs never coexists with the next tile's temporaries
+            del lhs, part
         k, i, j = np.unravel_index(int(np.argmax(resid)), resid.shape)
         chunk_max = float(resid[k, i, j])
+        del resid
         if chunk_max > max_res or np.isnan(chunk_max):
             max_res, witness = chunk_max, (float(p[k0 + k]), float(p[i]), float(p[j]))
             if np.isnan(chunk_max):

@@ -1,9 +1,11 @@
-"""The lam sweep gives the same report however the cube is chunked.
+"""The lam sweep gives the same report however the cube is chunked and tiled.
 
 ``verify._sweep`` streams the (n+1)^3 cube in lam-major chunks of about
-``SWEEP_CHUNK_LANES`` lanes. Each case runs once with one lam row per
-chunk and once with the whole cube in a single chunk; the reports must be
-identical, witness included (the first argmax in C order).
+``SWEEP_CHUNK_LANES`` lanes and evaluates ``fn`` on blocks of x-lines of a
+chunk, at most ``SWEEP_TILE_LANES`` lanes each. Each case runs with one lam
+row per chunk and with the whole cube in a single chunk, and with one
+x-line per tile and a whole chunk per tile; the reports must be identical,
+witness included (the first argmax in C order).
 """
 
 from __future__ import annotations
@@ -14,16 +16,21 @@ import math
 import numpy as np
 import pytest
 
-from qhagg import (AggregationFunction, PhiSpec, PsiSpec, catalog_lookup,
-                   check_homogeneous_order, check_quasi_homogeneity, make_grid)
+from qhagg import (AggregationFunction, GeneratorTriple, PhiSpec, PsiSpec, catalog_lookup,
+                   check_homogeneous_order, check_quasi_homogeneity, from_triple, make_grid,
+                   unit_function_from_expr)
 from qhagg import verify
-from qhagg.numerics import distinct, ext_mul
+from qhagg.numerics import Grid, distinct, ext_mul
 
 G = make_grid(12)
 
 
-def run_chunked(monkeypatch, check, rows: int, grid=G):
-    monkeypatch.setattr(verify, "SWEEP_CHUNK_LANES", rows * len(grid) ** 2)
+def run_chunked(monkeypatch, check, rows: int, grid=G, lines: int | None = None):
+    """check() with chunks of ``rows`` lam rows and tiles of ``lines`` x-lines
+    of such a chunk (default: the whole chunk)."""
+    n1 = len(grid)
+    monkeypatch.setattr(verify, "SWEEP_CHUNK_LANES", rows * n1 ** 2)
+    monkeypatch.setattr(verify, "SWEEP_TILE_LANES", rows * (lines or n1) * n1)
     return check()
 
 
@@ -32,8 +39,27 @@ def one_row_and_whole(monkeypatch, check, grid=G):
             run_chunked(monkeypatch, check, len(grid), grid))
 
 
+#: (lam rows per chunk, x-lines per tile); None is the whole grid
+PLANS = ((1, None), (1, 1), (None, 1), (None, None))
+
+
+def every_plan(monkeypatch, check, grid=G):
+    """check()'s reports under each plan of PLANS."""
+    n1 = len(grid)
+    return [run_chunked(monkeypatch, check, rows or n1, grid, lines) for rows, lines in PLANS]
+
+
 def zero_rhs(base):
     return lambda L: np.zeros((len(L), *base.shape))
+
+
+def expression_triple():
+    """from_triple of f=x^2, g=x, h=2x/(1+x), all expressions: every
+    evaluation of A inverts f numerically, lane by lane."""
+    def unit(text, **flags):
+        return unit_function_from_expr(text, increasing=True, **flags)
+    return from_triple(GeneratorTriple(f=unit("x^2", continuous_bijection=True),
+                                       g=unit("x"), h=unit("2*x/(1+x)")))
 
 
 CASES = {
@@ -45,13 +71,15 @@ CASES = {
         catalog_lookup("product"), PhiSpec.power(1.0), PsiSpec.power(2.0), grid=G),
     "min-order": lambda: check_homogeneous_order(catalog_lookup("min"), 2.0, grid=G),
     "product-order": lambda: check_homogeneous_order(catalog_lookup("product"), 1.0, grid=G),
+    "triple-scaling": lambda: check_quasi_homogeneity(
+        expression_triple(), PhiSpec.from_expr("x^2"), PsiSpec.power(2.0), grid=G),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_chunking_leaves_report_unchanged(monkeypatch, name):
-    per_row, whole = one_row_and_whole(monkeypatch, CASES[name])
-    assert per_row == whole
+    first, *rest = every_plan(monkeypatch, CASES[name])
+    assert all(report == first for report in rest)
 
 
 def test_tie_keeps_first_occurrence(monkeypatch):
@@ -61,22 +89,23 @@ def test_tie_keeps_first_occurrence(monkeypatch):
         return np.where((x > 0.0) & (y > 0.0), 1.0, 0.0)
 
     base = np.zeros((len(G), len(G)))
-    per_row, whole = one_row_and_whole(
+    whole, *rest = every_plan(
         monkeypatch, lambda: verify._sweep(positive, zero_rhs(base), G, 0.5))
-    assert per_row == whole
+    assert all(report == whole for report in rest)
     step = float(G.points[1])
     assert whole.witness == (step, step, step) and whole.max_residual == 1.0
 
 
 def test_nan_in_later_chunk_beats_larger_finite_residual(monkeypatch):
     # the largest finite residual, 1, sits in the lam = 0 row; the first
-    # NaN appears in the row lam = 1/4, at x = y = 1
+    # NaN appears in the row lam = 1/4, at x = y = 1, so in the last tile
+    # of its row, while the rows lam = 1/2 and 1 hold NaNs in earlier tiles
     def nan_at_quarter(x, y):
         return np.where((x == 0.25) & (y == 0.25), np.nan, 1.0 - (x + y) / 2.0)
 
     g8 = make_grid(8)
     base = np.zeros((len(g8), len(g8)))
-    reports = one_row_and_whole(
+    reports = every_plan(
         monkeypatch, lambda: verify._sweep(nan_at_quarter, zero_rhs(base), g8, 0.5), g8)
     for report in reports:
         assert math.isnan(report.max_residual)
@@ -256,7 +285,7 @@ def test_signed_zero_case_puts_both_zeros_in_phi_of_base():
 
 def test_min_at_n100_inverts_rows_times_distinct_values():
     # min takes the 101 grid values on its 10,201 base points; the cube
-    # (1,030,301 lanes) streams in 5 chunks of 20 or 21 lam rows, and no
+    # (1,030,301 lanes) streams in 9 chunks of 11 or 12 lam rows, and no
     # chunk inverts more than 101 x 101 lanes
     g100 = make_grid(100)
     phi = PhiSpec.from_expr("x/(1-x)", b=math.inf)
@@ -268,26 +297,51 @@ def test_min_at_n100_inverts_rows_times_distinct_values():
     assert report.passed is False
 
 
-# ------------------------------------------- chunk plan at the default budget
+# --------------------------------- chunk and tile plans at the default budgets
+
+# n = 400 is past n = 361, the last grid whose lam row fits the chunk budget
+PLAN_NS = [10, 50, 100, 200, 400]
 
 
-@pytest.mark.parametrize("n", [10, 50, 100, 200])
+@pytest.mark.parametrize("n", PLAN_NS)
 def test_default_chunk_plan_covers_every_row_once_in_balanced_chunks(n):
     g = make_grid(n)
     n1 = len(g)
     lams = []
 
-    def counting(x, y):
-        if np.ndim(x) == 3:  # a chunk of the cube, not the base sample
-            lams.append(x[:, -1, 0].copy())  # x = lam * 1 on the last x-row
-        return x * y
+    def expected(L):
+        lams.append(L[:, 0, 0].copy())
+        return np.zeros((len(L), n1, n1))
 
-    check_homogeneous_order(counting, 2.0, grid=g)
+    verify._sweep(lambda x, y: x, expected, g, 1.0)
     assert np.array_equal(np.concatenate(lams), g.points)
     rows = [len(c) for c in lams]
     assert max(rows) - min(rows) <= 1
     if n1 ** 2 <= verify.SWEEP_CHUNK_LANES:
         assert max(rows) * n1 ** 2 <= verify.SWEEP_CHUNK_LANES
+    else:
+        assert max(rows) == 1
+
+
+@pytest.mark.parametrize("n", PLAN_NS)
+def test_default_tile_plan_evaluates_every_lam_x_pair_once_within_budget(n):
+    # integer points make every product exact, so fn's arguments name the
+    # (lam, x) pairs they hold: lam = lam * 1 and x = (lam x) / lam
+    g = Grid(points=np.arange(1.0, n + 2.0), n=n)
+    hits = np.zeros((n + 1, n + 1), dtype=int)
+    lanes = []
+
+    def fn(x, y):
+        lam = y[:, 0, 0]
+        xs = x[:, :, 0] / lam[:, None]
+        assert np.array_equal(xs, np.broadcast_to(xs[:1], xs.shape))
+        hits[np.ix_(lam.astype(int) - 1, xs[0].astype(int) - 1)] += 1
+        lanes.append(math.prod(np.broadcast_shapes(x.shape, y.shape)))
+        return x
+
+    verify._sweep(fn, lambda L: np.zeros((len(L), n + 1, n + 1)), g, 1.0)
+    assert (hits == 1).all()
+    assert max(lanes) <= verify.SWEEP_TILE_LANES < verify.SWEEP_CHUNK_LANES
 
 
 # ------------------------------ the residual never overwrites fn's output
@@ -326,7 +380,8 @@ VIEW_AGGS = {
     "bumped-ro": read_only_view(AggregationFunction(evaluator=bumped, provenance="test",
                                                     name="bumped")),
 }
-VIEW_ROWS = (1, 5, None)  # None: the default budget
+#: (lam rows per chunk, x-lines per tile); rows None: the default budgets
+VIEW_PLANS = ((1, None), (1, 1), (5, None), (5, 1), (None, None))
 
 
 def order_reference(fn, k, g):
@@ -341,12 +396,12 @@ def order_reference(fn, k, g):
 
 
 def at_each_chunking(monkeypatch, check):
-    for rows in VIEW_ROWS:
+    for rows, lines in VIEW_PLANS:
         if rows is None:
             monkeypatch.undo()
             yield check()
         else:
-            yield run_chunked(monkeypatch, check, rows)
+            yield run_chunked(monkeypatch, check, rows, lines=lines)
 
 
 @pytest.mark.parametrize("psi", [PsiSpec.power(2.0), PsiSpec.step_at_one(),
