@@ -1,5 +1,6 @@
 """The inversion primitive ``bisect_increasing``: per-lane results, work
-counts and reported non-convergence.
+counts, reported non-convergence, the bits of its roots, and the
+scalar/array return rule shared by every public evaluator.
 
 Work is counted in lanes passed to the inverted function, not timed, so
 these tests are deterministic.
@@ -7,13 +8,16 @@ these tests are deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from qhagg import (PhiSpec, PsiSpec, UnitFunction, bisect_increasing, catalog_lookup,
-                   check_quasi_homogeneity, make_grid, unit_function_from_expr)
+                   check_quasi_homogeneity, ext_mul, invert_monotone, make_grid,
+                   power_function, unit_function_from_expr)
+from qhagg.exprparse import eval_expr, parse_expr
 from qhagg.numerics import _BRACKET_TABLE, _REFINE_BLOCK, distinct
 
 
@@ -172,3 +176,88 @@ class TestDistinct:
     def test_empty(self):
         w, at = distinct(np.array([]))
         assert w.size == 0 and at.size == 0 and at.dtype == np.intp
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+#: 10^5 seeded targets in [0, 1), the smallest near 6.9e-6
+TARGETS = np.random.default_rng(2024).uniform(size=10**5)
+
+
+class TestRootBits:
+    """SHA-256 of the roots, bit for bit. Every function here is built from
+    IEEE-exact operations only (products, quotients, square roots), so the
+    roots do not depend on the platform's libm."""
+
+    @pytest.mark.parametrize("fn, digest", [
+        (lambda x: x * x, "ac6f94d09afd533e1580fff7984b3fe3805e3e64af15cf528efcf1e765d5b335"),
+        (np.sqrt, "419e2c67aab8a0b65e8c2b78f099999a771765ffef1fe420d856512c701f8005"),
+        (lambda x: x * x * x, "f5d218bbd9376a61b8b73625914cd5b469b2b1fee76a6e9b08a03b82b67b3d7f"),
+        # x^(1/16): targets below 2^(-60/16) splice in the deep table
+        (lambda x: np.sqrt(np.sqrt(np.sqrt(np.sqrt(x)))),
+         "ff8b72162b28fa0c3f2d409cfd556b8c1454a5124c82b75aa1ae8ff4248a518a"),
+    ], ids=["x*x", "sqrt", "x*x*x", "sqrt^4"])
+    def test_bisect_increasing_roots(self, fn, digest):
+        assert _sha256(bisect_increasing(fn, TARGETS)) == digest
+
+    def test_deep_table_is_reached(self):
+        assert float(TARGETS.min()) < 2.0 ** (-60 / 16)
+
+    def test_unbounded_phi_inverse(self):
+        phi = PhiSpec.from_expr("x/(1-x)", b=float("inf"))
+        assert (_sha256(phi.invert(TARGETS))
+                == "baa7860090a8196dc514aa3fb59087f3838fce6a438ebb5b88ee5a1c9c932bab")
+
+
+_BISECTED = UnitFunction(evaluator=power_function(2).evaluator, continuous_bijection=True,
+                         name="x^2 (no closed form)")
+_EXPR_BIJECTION = unit_function_from_expr("2*x/(1+x)", continuous_bijection=True)
+
+#: every public elementwise evaluator, as a function of one argument
+EVALUATORS = {
+    "ext_mul": lambda v: ext_mul(v, 2.0),
+    "ext_mul(v, v)": lambda v: ext_mul(v, v),
+    "bisect_increasing": lambda v: bisect_increasing(lambda x: x * x, v),
+    "invert_monotone closed form": lambda v: invert_monotone(power_function(2), v),
+    "invert_monotone bisection": lambda v: invert_monotone(_BISECTED, v),
+    "UnitFunction": power_function(2),
+    "UnitFunction expression": _EXPR_BIJECTION,
+    "UnitFunction.invert closed form": power_function(2).invert,
+    "UnitFunction.invert bisection": _EXPR_BIJECTION.invert,
+    "AggregationFunction": lambda v: catalog_lookup("product")(v, v),
+    "AggregationFunction(v, 0.5)": lambda v: catalog_lookup("min")(v, 0.5),
+    "PsiSpec power": PsiSpec.power(2.0),
+    "PsiSpec step0": PsiSpec.step_at_zero(),
+    "PsiSpec step1": PsiSpec.step_at_one(),
+    "PhiSpec identity": PhiSpec.identity(),
+    "PhiSpec.invert identity": PhiSpec.identity().invert,
+    "PhiSpec power": PhiSpec.power(2.0),
+    "PhiSpec.invert power": PhiSpec.power(2.0).invert,
+    "PhiSpec expression": PhiSpec.from_expr("x^2"),
+    "PhiSpec.invert expression": PhiSpec.from_expr("x^2").invert,
+    "PhiSpec unbounded": PhiSpec.from_expr("x/(1-x)", b=float("inf")),
+    "PhiSpec.invert unbounded": PhiSpec.from_expr("x/(1-x)", b=float("inf")).invert,
+    "PhiSpec inverse_of": PhiSpec.inverse_of(power_function(2)),
+    "eval_expr": lambda v: eval_expr(parse_expr("x^2"), v),
+}
+
+
+class TestReturnType:
+    """A scalar in gives a Python float out; an array in gives a float64
+    array of the same shape."""
+
+    @pytest.mark.parametrize("name", list(EVALUATORS))
+    @pytest.mark.parametrize("scalar", [0.25, np.float64(0.25), np.array(0.25)],
+                             ids=["float", "float64", "0-d"])
+    def test_scalar_in_float_out(self, name, scalar):
+        assert type(EVALUATORS[name](scalar)) is float
+
+    @pytest.mark.parametrize("name", list(EVALUATORS))
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (0,)])
+    def test_array_in_array_of_its_shape_out(self, name, shape):
+        v = np.linspace(0.0, 0.75, int(np.prod(shape))).reshape(shape)
+        out = EVALUATORS[name](v)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == shape
