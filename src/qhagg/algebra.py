@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exprparse
 from .errors import ContractError, DomainError
-from .numerics import Grid, default_grid, first_witness, interval_at
+from .numerics import Grid, default_grid, elementwise, first_witness, interval_at, invert_monotone
 
 __all__ = [
     "UnitFunction",
@@ -34,12 +34,6 @@ __all__ = [
     "catalog_names",
     "catalog_describe",
 ]
-
-
-def _scalarize(out, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
-        return float(out)
-    return np.asarray(out, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,16 +54,14 @@ class UnitFunction:
     name: str = ""
 
     def __call__(self, x):
-        return _scalarize(self.evaluator(np.asarray(x, dtype=float)), x)
+        return elementwise(self.evaluator(np.asarray(x, dtype=float)), x)
 
-    def invert(self, y, tol: float = 1e-12):
+    def invert(self, y):
         """Preimage under this function; requires the bijection declaration.
 
         Uses the closed-form inverse when available, bisection otherwise.
         """
-        from .numerics import invert_monotone
-
-        return invert_monotone(self, y, tol=tol)
+        return invert_monotone(self, y)
 
     def declared(self, **flags) -> "UnitFunction":
         """Copy with declaration flags re-established after external checks."""
@@ -187,7 +179,7 @@ class AggregationFunction:
 
     def __call__(self, x, y):
         out = self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return _scalarize(out, x, y)
+        return elementwise(out, x, y)
 
     def __repr__(self):
         return f"AggregationFunction({self.name or self.provenance})"

@@ -20,6 +20,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import EvalError, ParseError
+from .numerics import elementwise
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,10 @@ def eval_expr(e: Expr, x):
     Raises EvalError on division by zero, on a negative base raised to a
     fractional power, and on non-finite results.
     """
-    scalar = np.ndim(x) == 0
-    out = _eval(e, np.asarray(x, dtype=float))
-    out_arr = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out_arr)):
+    out = np.asarray(_eval(e, np.asarray(x, dtype=float)), dtype=float)
+    if not np.all(np.isfinite(out)):
         raise EvalError("expression evaluated to a non-finite value")
-    if scalar:
-        return float(out_arr)
-    return np.broadcast_to(out_arr, np.shape(x)).copy() if out_arr.shape != np.shape(x) else out_arr
+    return elementwise(out, x)
 
 
 def _eval(e: Expr, x):

@@ -1,8 +1,8 @@
 """Scalar toolkit: extended-nonnegative arithmetic, unit grids, inversion.
 
 Every evaluator in this package is elementwise: it accepts a float or a
-numpy array and returns a value of the same shape. The helpers here follow
-the same convention.
+numpy array and returns a value of the same shape, by the one rule of
+``elementwise``. The helpers here follow the same convention.
 
 Extended arithmetic uses the host float infinity together with the
 convention ``0 * inf = inf * 0 = 0`` (and ``1/inf = 0``), which is what the
@@ -24,12 +24,21 @@ INF = float("inf")
 #: of its width in that many rounds.
 MAX_BISECT_ITER = 200
 
-#: Default residual target for numerical inversion.
-DEFAULT_INV_TOL = 1e-12
+#: Residual target of every numerical inversion: ``bisect_increasing``
+#: refines a lane until ``|fn(x) - y|`` is within it.
+INV_TOL = 1e-12
 
 
-def _is_scalar(x) -> bool:
-    return np.ndim(x) == 0
+def elementwise(out, *inputs):
+    """The return rule of every elementwise evaluator: a Python float when
+    every input is a scalar (0-d included), else ``out`` as a float array
+    of the inputs' broadcast shape.
+    """
+    shape = np.broadcast(*inputs).shape
+    if not shape:
+        return float(out)
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def ext_mul(a, b):
@@ -42,10 +51,7 @@ def ext_mul(a, b):
     b_arr = np.asarray(b, dtype=float)
     with np.errstate(invalid="ignore"):
         out = a_arr * b_arr
-    out = np.where((a_arr == 0.0) | (b_arr == 0.0), 0.0, out)
-    if _is_scalar(a) and _is_scalar(b):
-        return float(out)
-    return out
+    return elementwise(np.where((a_arr == 0.0) | (b_arr == 0.0), 0.0, out), a, b)
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,7 @@ _DEEP_TABLE = np.exp2(-np.arange(1072.0, 63.0, -8.0))
 _DEEP_TABLE.setflags(write=False)
 
 #: A lane has converged once its bracket is at most this wide (and its
-#: residual is within tol).
+#: residual is within INV_TOL).
 _X_TOL = 2.0 ** -44
 
 #: ``bisect_increasing`` refines its sorted distinct targets in blocks of
@@ -154,7 +160,7 @@ def distinct(values):
     return w, at
 
 
-def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL):
+def bisect_increasing(fn, y):
     """Solve fn(x) = y on [0, 1] for a nondecreasing elementwise fn.
 
     Accepts scalar or array ``y``. Each distinct target is solved once,
@@ -162,9 +168,9 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL):
     the batch. ``fn`` is sampled on a fixed table that brackets every
     target (``_BRACKET_TABLE``, plus ``_DEEP_TABLE`` when some target lies
     below fn(2^-60)); Chandrupatla's interpolation, falling back to
-    bisection, then refines each bracket until ``|fn(x) - y| <= tol``
+    bisection, then refines each bracket until ``|fn(x) - y| <= INV_TOL``
     and the bracket is at most 2^-44 wide. Targets at or beyond an
-    endpoint image (within tol) are returned as that endpoint, which keeps
+    endpoint image (within INV_TOL) are returned as that endpoint, which keeps
     inverses exact where the function may have zero slope. Only the
     targets strictly between the endpoint images are sorted and refined,
     in blocks of ``_REFINE_BLOCK`` lanes.
@@ -173,9 +179,8 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL):
     a jump of ``fn`` (its bracket shrinks to adjacent floats), or one still
     open after MAX_BISECT_ITER rounds.
 
-    Raises DomainError if some y lies outside [fn(0) - tol, fn(1) + tol].
+    Raises DomainError if some y lies outside [fn(0) - INV_TOL, fn(1) + INV_TOL].
     """
-    scalar = _is_scalar(y)
     y_arr = np.asarray(y, dtype=float)
     if y_arr.size == 0:
         return y_arr.copy()
@@ -183,7 +188,7 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL):
     xs = _BRACKET_TABLE
     fs = np.asarray(fn(xs), dtype=float)
     f_lo, f_hi = fs[0], fs[-1]
-    bad = (flat < f_lo - tol) | (flat > f_hi + tol)
+    bad = (flat < f_lo - INV_TOL) | (flat > f_hi + INV_TOL)
     if bad.any():
         raise DomainError(
             f"target {float(flat[np.argmax(bad)])!r} is not bracketed by [0.0, 1.0] "
@@ -197,16 +202,15 @@ def bisect_increasing(fn, y, tol: float = DEFAULT_INV_TOL):
         fs = np.concatenate([fs[:1], np.asarray(fn(_DEEP_TABLE), dtype=float), fs[1:]])
     for b in range(0, targets.size, _REFINE_BLOCK):
         # the targets are overwritten by their roots, block by block
-        targets[b:b + _REFINE_BLOCK] = _refine(fn, targets[b:b + _REFINE_BLOCK], xs, fs, tol)
+        targets[b:b + _REFINE_BLOCK] = _refine(fn, targets[b:b + _REFINE_BLOCK], xs, fs)
     out = np.full(flat.shape, np.nan)
     out[flat >= f_hi] = 1.0
     out[flat <= f_lo] = 0.0
     out[inner] = targets[at]
-    out = out.reshape(y_arr.shape)
-    return float(out) if scalar else out
+    return elementwise(out.reshape(y_arr.shape), y)
 
 
-def _refine(fn, y, xs, fs, tol):
+def _refine(fn, y, xs, fs):
     """Chandrupatla's bracketed root finder, lane by lane.
 
     Each target y starts from the table bracket fs[j-1] <= y < fs[j].
@@ -227,7 +231,7 @@ def _refine(fn, y, xs, fs, tol):
             a1, a2 = np.abs(f1), np.abs(f2)
             near1 = a1 <= a2
             best = np.where(near1, a1, a2)
-            done = (best == 0.0) | ((best <= tol) & (np.abs(dx) <= _X_TOL))
+            done = (best == 0.0) | ((best <= INV_TOL) & (np.abs(dx) <= _X_TOL))
             out[lane[done]] = np.where(near1, x1, x2)[done]
             tl = np.minimum(0.5, 0.5 * _X_TOL / np.abs(dx))
             x = x1 + np.clip(t, tl, 1.0 - tl) * dx
@@ -252,31 +256,30 @@ def _refine(fn, y, xs, fs, tol):
     return out
 
 
-def inverse_evaluator(f, tol: float = DEFAULT_INV_TOL):
+def inverse_evaluator(f):
     """Elementwise inverse of a unit-interval function: its closed form when
     it carries one, else ``bisect_increasing`` on [0, 1].
 
-    ``f`` is any object with ``evaluator`` and ``inverse`` attributes (a
-    UnitFunction). ``bisect_increasing`` is looked up when the inverse is
-    called, not when it is built.
+    Every numeric inverse in this package is built here. ``f`` is any object
+    with ``evaluator`` and ``inverse`` attributes (a UnitFunction).
+    ``bisect_increasing`` is looked up when the inverse is called, not when
+    it is built.
     """
     inverse = getattr(f, "inverse", None)
     if inverse is not None:
         return inverse
-    return lambda y, ev=f.evaluator: bisect_increasing(ev, y, tol=tol)
+    return lambda y, ev=f.evaluator: bisect_increasing(ev, y)
 
 
-def invert_monotone(f, y, tol: float = DEFAULT_INV_TOL):
+def invert_monotone(f, y):
     """Inverse of a unit-interval function declared a continuous bijection.
 
     ``f`` is any object with ``evaluator``/``inverse``/``continuous_bijection``
-    attributes (a UnitFunction). A closed-form inverse is used when present
-    (and ``tol`` is then ignored); otherwise the value is located by
-    ``bisect_increasing`` on [0, 1].
+    attributes (a UnitFunction). A closed-form inverse is used when present;
+    otherwise the value is located by ``bisect_increasing`` on [0, 1].
     """
     if getattr(f, "inverse", None) is None and not getattr(f, "continuous_bijection", False):
         raise ContractError(
             "invert_monotone requires a function declared continuous_bijection"
         )
-    out = inverse_evaluator(f, tol)(np.asarray(y, dtype=float))
-    return float(out) if _is_scalar(y) else np.asarray(out, dtype=float)
+    return elementwise(inverse_evaluator(f)(np.asarray(y, dtype=float)), y)

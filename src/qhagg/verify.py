@@ -24,12 +24,12 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AggregationFunction, UnitFunction, power_function
+from .algebra import AggregationFunction, UnitFunction, identity, power_function
 from .construct import boundary_formula, flat_formula, triple_of
 from .errors import ContractError, DomainError
 from .exprparse import eval_expr, parse_expr
-from .numerics import (Grid, bisect_increasing, default_grid, distinct, ext_mul,
-                       first_witness, interval_at, inverse_evaluator)
+from .numerics import (Grid, default_grid, distinct, elementwise, ext_mul, first_witness,
+                       interval_at, inverse_evaluator)
 
 __all__ = [
     "PsiSpec",
@@ -95,15 +95,14 @@ class PsiSpec:
         return PsiSpec("step1")
 
     def __call__(self, lam):
-        scalar = np.ndim(lam) == 0
-        lam = np.asarray(lam, dtype=float)
+        x = np.asarray(lam, dtype=float)
         if self.kind == "power":
-            out = np.power(lam, self.c)
+            out = np.power(x, self.c)
         elif self.kind == "step0":
-            out = np.where(lam > 0.0, 1.0, 0.0)
+            out = np.where(x > 0.0, 1.0, 0.0)
         else:
-            out = np.where(lam == 1.0, 1.0, 0.0)
-        return float(out) if scalar else out
+            out = np.where(x == 1.0, 1.0, 0.0)
+        return elementwise(out, lam)
 
     def describe(self) -> str:
         if self.kind == "power":
@@ -134,21 +133,16 @@ class PhiSpec:
             raise DomainError(f"phi must have positive codomain endpoint, got b={self.b}")
 
     def __call__(self, x):
-        out = self.evaluator(np.asarray(x, dtype=float))
-        return float(out) if np.ndim(x) == 0 else np.asarray(out, dtype=float)
+        return elementwise(self.evaluator(np.asarray(x, dtype=float)), x)
 
     def invert(self, y):
-        out = self.inverse(np.asarray(y, dtype=float))
-        return float(out) if np.ndim(y) == 0 else np.asarray(out, dtype=float)
+        return elementwise(self.inverse(np.asarray(y, dtype=float)), y)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def identity() -> "PhiSpec":
-        return PhiSpec(b=1.0,
-                       evaluator=lambda x: np.asarray(x, dtype=float),
-                       inverse=lambda y: np.asarray(y, dtype=float),
-                       name="x", closed_form=True)
+        return PhiSpec.from_unit_function(identity())
 
     @staticmethod
     def from_unit_function(u: UnitFunction) -> "PhiSpec":
@@ -197,7 +191,7 @@ class PhiSpec:
         expression must satisfy phi(0) = 0 exactly and increase strictly.
         With ``b = inf`` the expression is read on [0, 1) and phi(1) is the
         point at infinity; inversion works through the bounded transform
-        t = phi/(1 + phi).
+        t = phi/(1 + phi), applied to the function and to the target alike.
         """
         tree = parse_expr(text)
         g = grid or default_grid()
@@ -220,20 +214,15 @@ class PhiSpec:
                 inner = np.asarray(eval_expr(t, np.where(x == 1.0, 0.0, x)), dtype=float)
                 return np.where(x == 1.0, np.inf, inner)
 
-            def transform(x, ev=evaluator):
-                v = np.asarray(ev(x), dtype=float)
+            def squash(v):
+                # [0, inf] -> [0, 1], increasing, with inf -> 1
+                v = np.asarray(v, dtype=float)
                 with np.errstate(invalid="ignore"):
-                    tt = v / (1.0 + v)
-                return np.where(np.isinf(v), 1.0, tt)
+                    return np.where(np.isinf(v), 1.0, v / (1.0 + v))
 
-            def inverse(y, tr=transform):
-                y = np.asarray(y, dtype=float)
-                with np.errstate(invalid="ignore"):
-                    target = np.where(np.isinf(y), 1.0, y / (1.0 + y))
-                return bisect_increasing(tr, target)
-
-            return PhiSpec(b=float("inf"), evaluator=evaluator, inverse=inverse,
-                           name=text, closed_form=False)
+            bounded = inverse_evaluator(UnitFunction(lambda x, ev=evaluator: squash(ev(x))))
+            return PhiSpec(b=float("inf"), evaluator=evaluator,
+                           inverse=lambda y: bounded(squash(y)), name=text, closed_form=False)
 
         b_val = float(vals[-1]) if b is None else float(b)
         if b is not None and abs(float(vals[-1]) - b_val) > 1e-12:
@@ -244,10 +233,8 @@ class PhiSpec:
         def evaluator(x, t=tree):
             return np.asarray(eval_expr(t, x), dtype=float)
 
-        def inverse(y, ev=evaluator):
-            return bisect_increasing(ev, y)
-
-        return PhiSpec(b=b_val, evaluator=evaluator, inverse=inverse,
+        return PhiSpec(b=b_val, evaluator=evaluator,
+                       inverse=inverse_evaluator(UnitFunction(evaluator)),
                        name=text, closed_form=False)
 
 
@@ -349,19 +336,23 @@ def _sample(fn, p) -> np.ndarray:
 
 
 def _aggregation_report(V: np.ndarray, g: Grid, tol: float) -> AggregationReport:
+    """The check of ``check_aggregation`` on a sample V of the base grid.
+
+    A passing sample costs one temporary of its size at a time: each
+    difference is dropped once its minimum is read, and masks are built
+    only for a witness. ``0.0 - x`` rather than ``-x``, so that no -0.0
+    reaches ``max_violation``.
+    """
     p = g.points
     dev00 = abs(float(V[0, 0]))
     dev11 = abs(float(V[-1, -1]) - 1.0)
     boundary_ok = dev00 <= tol and dev11 <= tol
 
-    over = np.maximum(V - 1.0, -V)
-    range_excess = float(np.max(over))
+    range_excess = max(float(np.max(V)) - 1.0, 0.0 - float(np.min(V)))
     range_ok = range_excess <= tol
 
-    dx = V[1:, :] - V[:-1, :]
-    dy = V[:, 1:] - V[:, :-1]
-    worst_decrease = max(float(np.max(-dx, initial=0.0)),
-                         float(np.max(-dy, initial=0.0)))
+    worst_decrease = max(0.0 - float(np.min(np.diff(V, axis=0), initial=0.0)),
+                         0.0 - float(np.min(np.diff(V, axis=1), initial=0.0)))
     monotone_ok = worst_decrease <= tol
 
     def at(i, j):
@@ -374,10 +365,11 @@ def _aggregation_report(V: np.ndarray, g: Grid, tol: float) -> AggregationReport
         witness = (at(k, k),)
         reason = f"A({want},{want})={witness[0][2]!r}, expected {want}"
     elif not range_ok:
-        witness = (at(*first_witness(V, over > tol)),)
+        witness = (at(*first_witness(V, np.maximum(V - 1.0, -V) > tol)),)
         reason = "A({!r},{!r})={!r} outside [0,1]".format(*witness[0])
     elif not monotone_ok:
         # the whole x-direction is scanned before the y-direction
+        dx, dy = np.diff(V, axis=0), np.diff(V, axis=1)
         w = first_witness(dx, dx < -tol)
         axis, (i, j) = ("x", w) if w is not None else ("y", first_witness(dy, dy < -tol))
         witness = (at(i, j), at(i + 1, j) if axis == "x" else at(i, j + 1))
@@ -641,26 +633,21 @@ def recover_psi(A: AggregationFunction, phi: PhiSpec, grid: Grid | None = None,
 
 
 def diagonal_bijection_check(delta: UnitFunction, grid: Grid | None = None,
-                             tol: float = 1e-9,
-                             gap_tol: float | None = None) -> DiagonalReport:
+                             tol: float = 1e-9) -> DiagonalReport:
     """Grid evidence that a diagonal section is an increasing bijection.
 
     Endpoints within ``tol``, strictly increasing samples, and a largest
-    adjacent jump at most ``gap_tol`` (default 10/n). The jump bound is a
-    continuity heuristic, not a proof: it admits Lipschitz-like sections
-    while catching unit jumps. A declared continuous_bijection flag on the
-    input is evidence enough to skip nothing here; checks always run.
+    adjacent jump at most 10/n. The jump bound is a continuity heuristic,
+    not a proof: it admits Lipschitz-like sections while catching unit
+    jumps. A declared continuous_bijection flag on the input is evidence
+    enough to skip nothing here; checks always run.
     """
     g = grid or default_grid()
-    return _diagonal_report(np.asarray(delta.evaluator(g.points), dtype=float), g, tol,
-                            gap_tol)
+    return _diagonal_report(np.asarray(delta.evaluator(g.points), dtype=float), g, tol)
 
 
-def _diagonal_report(d: np.ndarray, g: Grid, tol: float,
-                     gap_tol: float | None = None) -> DiagonalReport:
+def _diagonal_report(d: np.ndarray, g: Grid, tol: float) -> DiagonalReport:
     """The check of ``diagonal_bijection_check`` on a sample d of the diagonal."""
-    if gap_tol is None:
-        gap_tol = 10.0 / g.n
     p = g.points
     endpoints_ok = abs(float(d[0])) <= tol and abs(float(d[-1]) - 1.0) <= tol
     diffs = np.diff(d)
@@ -669,7 +656,7 @@ def _diagonal_report(d: np.ndarray, g: Grid, tol: float,
     jmax = int(np.argmax(diffs))
     max_jump = float(diffs[jmax])
     max_jump_at = (float(p[jmax]), float(p[jmax + 1]))
-    continuity_ok = max_jump <= gap_tol
+    continuity_ok = max_jump <= 10.0 / g.n
 
     witness = None
     if not strict_ok:

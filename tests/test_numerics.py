@@ -97,7 +97,7 @@ class TestInvertMonotone:
 
         stripped = UnitFunction(evaluator=lambda x: 2 * np.asarray(x, float) / (1 + np.asarray(x, float)),
                                 continuous_bijection=True, name="2x/(1+x)")
-        got = invert_monotone(stripped, 2 / 3, tol=1e-12)
+        got = invert_monotone(stripped, 2 / 3)
         assert abs(got - oracle) < 1e-10
         assert abs(got - 0.5) < 1e-10
 
@@ -125,7 +125,7 @@ class TestInvertMonotone:
         f = make()
         stripped = UnitFunction(evaluator=f.evaluator, continuous_bijection=True)
         ys = make_grid(50).points
-        xs = invert_monotone(stripped, ys, tol=1e-12)
+        xs = invert_monotone(stripped, ys)
         residual = np.abs(np.asarray(f.evaluator(xs), float) - ys)
         assert float(np.max(residual)) <= 1e-12
 
@@ -136,7 +136,7 @@ class TestInvertMonotone:
         closed = np.asarray([invert_monotone(f, y) for y in ys])
         assert np.all(np.diff(closed) >= 0)
         # the bisection path may wobble within the residual target
-        bis = np.asarray([invert_monotone(stripped, y, tol=1e-12) for y in ys])
+        bis = np.asarray([invert_monotone(stripped, y) for y in ys])
         assert np.all(np.diff(bis) >= -1e-9)
 
     def test_exact_endpoints(self):

@@ -11,19 +11,26 @@ whole, and with the two-level plan: harmonic_min classify at n = 100,
 10.2 -> 3.2 MiB; the n = 150 power-psi sweep, 9.7 -> 4.8 MiB; the n = 400
 step-psi sweep, 7.5 -> 3.4 MiB (numpy 2.4, Python 3.11). The bounds leave
 about half as much again for other numpy versions.
+
+The aggregation check holds one difference of its base-grid sample at a
+time: its traced peak at n = 400 is 1.1 times the sample (4.0 times when
+it held the range excess and both differences at once), and the bound is 2
+times.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 
-from qhagg import (CLASS1, PhiSpec, PsiSpec, catalog_lookup, check_quasi_homogeneity,
-                   classify, make_grid)
+from qhagg import (CLASS1, PhiSpec, PsiSpec, catalog_lookup, check_aggregation,
+                   check_quasi_homogeneity, classify, make_grid)
+from qhagg.algebra import AggregationFunction
 
 PEAK_LIMIT_MIB = 7
 N400_PEAK_LIMIT_MIB = 16
 STEP_PEAK_LIMIT_MIB = 5
 CLASSIFY_N100_PEAK_LIMIT_MIB = 5
+AGGREGATION_PEAK_LIMIT_SAMPLES = 2
 
 
 def traced_peak(check):
@@ -65,3 +72,16 @@ def test_class1_classify_at_n100():
     report, peak = traced_peak(lambda: classify(catalog_lookup("harmonic_min"), grid=grid))
     assert report.verdict == CLASS1
     assert peak < CLASSIFY_N100_PEAK_LIMIT_MIB * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_aggregation_check_at_n400():
+    # A returns a sample made before tracing starts, so the peak is the
+    # check's own temporaries
+    grid = make_grid(400)
+    p = grid.points
+    V = p[:, None] * p[None, :]
+    A = AggregationFunction(lambda x, y: V, provenance="sampled product")
+    report, peak = traced_peak(lambda: check_aggregation(A, grid=grid))
+    assert report.passed
+    assert peak <= AGGREGATION_PEAK_LIMIT_SAMPLES * V.nbytes, (
+        f"traced peak {peak / V.nbytes:.2f} times the sample")

@@ -391,6 +391,20 @@ class TestClassify:
         # the diagonal saturates at 0.5
         assert report.witness[0] == 0.5
 
+    def test_diagonal_jump_beyond_continuity_heuristic_is_refuted(self):
+        # j(min(x, y)) with j strictly increasing but jumping from 1/8 to 3/4
+        # at 1/2: an aggregation function whose diagonal has fixed endpoints
+        # and increases strictly, so only the 10/n jump bound refutes it
+        def j(t):
+            return np.where(t < 0.5, t / 4.0, 0.75 + (t - 0.5) / 2.0)
+
+        A = AggregationFunction(lambda x, y: j(np.minimum(x, y)), provenance="jump at 1/2")
+        report = classify(A, grid=make_grid(40))
+        assert report.verdict == NOT_QH
+        assert report.reason.startswith("diagonal jumps beyond the continuity heuristic")
+        assert report.witness == (0.475, 0.5, 0.5, 0.63125)
+        assert report.diagnostics["diagonal_max_jump"] == 0.63125
+
     def test_non_aggregation_input_is_refuted(self):
         t = GeneratorTriple(f=identity(), g=identity(), h=power_function(2))
         raw = from_triple(t, validate=False)
