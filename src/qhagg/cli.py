@@ -319,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--grid", type=int, default=100, metavar="N",
                          help="grid resolution (N+1 points per axis, default 100)")
     p_check.add_argument("--tol", type=float, default=None,
-                         help="tolerance (default 1e-9; 1e-6 for classify or "
-                              "bisection-backed phi)")
+                         help="tolerance (default 1e-9; 1e-6 for classify)")
     p_check.set_defaults(func=cmd_check)
 
     p_grid = sub.add_parser("grid", help="dump A on a grid as CSV")

@@ -119,7 +119,7 @@ class PhiSpec:
 
     ``b`` may be ``inf``; the inverse is then total on [0, inf] with
     phi_inv(inf) = 1. ``closed_form`` records whether both directions are
-    closed-form (no bisection anywhere), which drives tolerance selection.
+    closed-form; the checks read phi on [0, 1] alike for every spelling.
     """
 
     b: float
@@ -222,7 +222,7 @@ class PhiSpec:
 
             bounded = inverse_evaluator(UnitFunction(lambda x, ev=evaluator: squash(ev(x))))
             return PhiSpec(b=float("inf"), evaluator=evaluator,
-                           inverse=lambda y: bounded(squash(y)), name=text, closed_form=False)
+                           inverse=lambda y: bounded(squash(y)), name=text)
 
         b_val = float(vals[-1]) if b is None else float(b)
         if b is not None and abs(float(vals[-1]) - b_val) > 1e-12:
@@ -234,8 +234,7 @@ class PhiSpec:
             return np.asarray(eval_expr(t, x), dtype=float)
 
         return PhiSpec(b=b_val, evaluator=evaluator,
-                       inverse=inverse_evaluator(UnitFunction(evaluator)),
-                       name=text, closed_form=False)
+                       inverse=inverse_evaluator(UnitFunction(evaluator)), name=text)
 
 
 # ----------------------------------------------------------------- reports
@@ -386,49 +385,52 @@ def _aggregation_report(V: np.ndarray, g: Grid, tol: float) -> AggregationReport
                              reason=reason, grid_n=g.n, tol=tol)
 
 
-def _resolve_qh_tol(tol: float | None, phi: PhiSpec) -> float:
-    # closed-form pipelines hold 1e-9; a bisection inversion in the loop
-    # composes through two function applications, hence 1e-6
-    if tol is not None:
-        return tol
-    return 1e-9 if phi.closed_form else 1e-6
-
-
 def check_quasi_homogeneity(A: AggregationFunction, phi: PhiSpec, psi: PsiSpec,
-                            grid: Grid | None = None,
-                            tol: float | None = None) -> ResidualReport:
+                            grid: Grid | None = None, tol: float = 1e-9) -> ResidualReport:
     """Max residual of the scaling law over the grid cubed.
 
     residual(lam, x, y) = |A(lam x, lam y) - phi_inv(psi(lam) * phi(A(x, y)))|
 
     The product uses extended arithmetic (0 * inf = 0) so unbounded phi is
-    handled. Each lam row takes one of three rules (see ``_scaling_rhs``):
+    handled. phi is read at A(x, y) clipped to [0, 1], its domain; a NaN
+    stays NaN through phi and phi_inv and is reported with its witness.
+    ``tol`` holds for every spelling of phi: a numeric inverse's roots lie
+    within 2^-44 of the true ones. Each lam row takes one of three rules:
     a row whose multiplier psi(lam) is exactly 1 takes A(x, y) itself,
     never the round trip phi_inv(phi(A(x, y))): that identity is a contract
     of phi, checked separately, and inverting would only add noise to the
     residual of the scaling law. A row whose multiplier is exactly 0 takes
     phi_inv(0), inverted on one lane; so a step psi never inverts phi on
-    the cube. Any other row inverts phi once per distinct value of phi(A)
-    on the base grid.
+    the cube. Any other row inverts phi once per distinct value of A on
+    the base grid.
     """
     g = grid or default_grid()
-    return _sweep(A.evaluator, _scaling_rhs(phi, psi, _sample(A.evaluator, g.points)), g,
-                  _resolve_qh_tol(tol, phi),
+    return _sweep(A.evaluator, _scaling_rhs(phi, psi, _sample(A.evaluator, g.points)), g, tol,
                   f"quasi-homogeneity psi={psi.describe()} phi={phi.name}")
+
+
+def _phi_on_domain(phi: PhiSpec, v: np.ndarray) -> np.ndarray:
+    """phi(clip(v, 0, 1)), with NaN lanes kept NaN and never passed to phi."""
+    v = np.clip(v, 0.0, 1.0)
+    nan = np.isnan(v)
+    return np.where(nan, np.nan, phi.evaluator(np.where(nan, 0.0, v)))
 
 
 def _scaling_rhs(phi: PhiSpec, psi: PsiSpec, V: np.ndarray):
     """``expected(lam) = phi_inv(psi(lam) * phi(V))`` by the row rule of
     ``check_quasi_homogeneity``.
 
-    phi_inv(0) is computed once, here; phi(V) and its distinct values once,
-    on the first chunk with a multiplier strictly between 0 and 1, so a
-    step psi never sorts them. psi is nondecreasing, so in a chunk the
-    0-rows form a prefix and the 1-rows a suffix.
+    phi_inv(0) is computed once, here; the distinct values of V, and phi
+    of them, once on the first chunk with a multiplier strictly between 0
+    and 1, so a step psi never sorts them. psi is nondecreasing, so in a
+    chunk the 0-rows form a prefix and the 1-rows a suffix.
     """
     zero = np.asarray(phi.inverse(np.zeros(1)), dtype=float)
-    phi_of_base = functools.cache(
-        lambda: distinct(np.asarray(phi.evaluator(V), dtype=float).ravel()))
+
+    @functools.cache
+    def phi_of_base():
+        w, at = distinct(V.ravel())
+        return _phi_on_domain(phi, w), at
 
     def expected(L):
         S = np.asarray(psi(L[:, 0, 0]), dtype=float)
@@ -594,14 +596,13 @@ def recover_psi(A: AggregationFunction, phi: PhiSpec, grid: Grid | None = None,
     convention: finite phi-values over phi(1) = inf give 0, and the
     infinite value itself gives 1. The power fit uses interior points
     lam in [0.1, 0.9] only (the endpoints are forced and the log fit is
-    singular at 0). An ambiguous fit is reported as no-fit, never forced.
+    singular at 0). An ambiguous fit or a NaN sample gives no fit, never a forced one.
     """
     g = grid or default_grid()
     p = g.points
-    d = np.asarray(A.evaluator(p, p), dtype=float)
-    W = np.asarray(phi.evaluator(d), dtype=float)
+    W = _phi_on_domain(phi, np.asarray(A.evaluator(p, p), dtype=float))
     if np.isinf(phi.b):
-        samples = np.where(np.isinf(W), 1.0, 0.0)
+        samples = np.where(np.isnan(W), np.nan, np.isinf(W).astype(float))
     else:
         samples = W / float(phi.b)
 
@@ -610,6 +611,9 @@ def recover_psi(A: AggregationFunction, phi: PhiSpec, grid: Grid | None = None,
     if s.size == 0:
         return PsiRecovery(p, samples, None, float("nan"),
                            "grid too coarse for an interior fit", g.n)
+    if np.isnan(s).any():
+        lam = float(p[mask][np.isnan(s)][0])
+        return PsiRecovery(p, samples, None, float("nan"), f"NaN diagonal at lam={lam!r}", g.n)
     if np.all(s == 0.0):
         return PsiRecovery(p, samples, PsiSpec.step_at_one(), 0.0,
                            "interior samples constant 0", g.n)
@@ -773,10 +777,10 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
         return report(verdict=NOT_QH, witness=(1.0, w[0], w[1], agg.max_violation),
                       reason=f"not an aggregation function: {agg.reason}")
 
-    def scaling_law(base, found, refuted):
+    def scaling_law(found, refuted):
         """None if A meets the scaling law with the canonical pair of the
         candidate report ``found``, else the refutation."""
-        qh = _sweep(A.evaluator, _scaling_rhs(*canonical_pair(found), base), g, tol)
+        qh = _sweep(A.evaluator, _scaling_rhs(*canonical_pair(found), V), g, tol)
         diagnostics["scaling_law"] = qh.max_residual
         if not qh.passed:
             return report(verdict=NOT_QH, witness=(*qh.witness, qh.max_residual),
@@ -809,12 +813,8 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
                           reason=f"{why}: delta({x1!r})={d1!r}, delta({x2!r})={d2!r}")
         found = report(verdict=CLASS1, delta=t.f.declared(
             increasing=True, strictly_increasing=True, continuous_bijection=True))
-        # A(lam x, lam y) = delta(lam * delta_inv(A(x, y))): the diagonal is
-        # inverted on the base sample only, which the aggregation check admits
-        # up to tol outside [0, 1], the domain of delta_inv
-        return (scaling_law(np.clip(V, 0.0, 1.0), found, "diagonal is bijective but the "
-                            "scaling law with psi = id, phi = diagonal_inv fails")
-                or found)
+        return scaling_law(found, "diagonal is bijective but the scaling law with "
+                                   "psi = id, phi = diagonal_inv fails") or found
 
     key = f"{found.verdict.lower()}_formula"
     resid = np.abs(V - formula(p[:, None], p[None, :]))
@@ -822,7 +822,7 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
     if diagnostics[key] <= tol:
         return found
     i, j = first_witness(resid, resid > tol)
-    return (scaling_law(V, found, f"interior diagonal is {level} but the {law} scaling law fails")
+    return (scaling_law(found, f"interior diagonal is {level} but the {law} scaling law fails")
             or report(verdict=NOT_QH, witness=(1.0, float(p[i]), float(p[j]), float(resid[i, j])),
                       reason=f"interior diagonal is {level} but the {form} formula fails"))
 

@@ -211,6 +211,31 @@ class TestRootBits:
                 == "baa7860090a8196dc514aa3fb59087f3838fce6a438ebb5b88ee5a1c9c932bab")
 
 
+#: 10^4 seeded targets in [0, 1): half uniform, half log-uniform down to 1e-30
+BOUND_TARGETS = np.concatenate([np.random.default_rng(0).uniform(size=5000),
+                                10.0 ** np.random.default_rng(1).uniform(-30.0, 0.0, 5000)])
+
+
+class TestBracketBound:
+    """Every root of a numeric inverse lies within 2^-44 of the true root
+    (the width of its final bracket), give or take the rounding of the
+    closed-form root it is compared with. The scaling law holds closed-form
+    and numeric inverses to one tolerance on the strength of this bound."""
+
+    @pytest.mark.parametrize("text, b, to_target, root", [
+        ("x^2", None, lambda t: t, np.sqrt),
+        ("x^3", None, lambda t: t, np.cbrt),
+        ("x^0.5", None, lambda t: t, np.square),
+        ("x/(1-x)", float("inf"), lambda t: t / (1.0 - t), lambda y: y / (1.0 + y)),
+    ], ids=["x^2", "x^3", "x^0.5", "x/(1-x), b=inf"])
+    def test_root_within_the_bracket_width(self, text, b, to_target, root):
+        phi = PhiSpec.from_expr(text, b=b)
+        assert not phi.closed_form
+        y = to_target(BOUND_TARGETS)
+        exact = root(y)
+        assert np.all(np.abs(phi.invert(y) - exact) <= 2.0 ** -44 + np.spacing(exact))
+
+
 _BISECTED = UnitFunction(evaluator=power_function(2).evaluator, continuous_bijection=True,
                          name="x^2 (no closed form)")
 _EXPR_BIJECTION = unit_function_from_expr("2*x/(1+x)", continuous_bijection=True)

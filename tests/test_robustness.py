@@ -1,5 +1,7 @@
 """Inputs that used to escape as non-library exceptions or silent numbers."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,12 @@ from qhagg import (
     check_quasi_homogeneity,
     classify,
     make_grid,
+    recover_psi,
 )
 from qhagg.algebra import AggregationFunction
 from qhagg.cli import load_grid_csv, main
+from qhagg.exprparse import eval_expr, parse_expr
+from qhagg.numerics import bisect_increasing
 
 G10 = make_grid(10)
 
@@ -47,16 +52,39 @@ class TestNonFiniteSamples:
         assert not report.passed
         assert report.witness == (0.0, 0.5)
 
+    @pytest.mark.parametrize("phi", [PhiSpec.identity(), PhiSpec.from_expr("x^2"),
+                                     PhiSpec.from_expr("x/(1-x)", b=float("inf"))],
+                             ids=["identity", "x^2", "x/(1-x), b=inf"])
+    def test_recover_psi_gives_no_fit(self, phi):
+        A = AggregationFunction(
+            lambda x, y: np.where((x == 0.5) & (y == 0.5), np.nan, x * y),
+            provenance="product with a NaN at (0.5, 0.5)")
+        rec = recover_psi(A, phi, grid=G10)
+        assert rec.fitted is None
+        assert rec.note == "NaN diagonal at lam=0.5"
+        assert np.isnan(rec.max_fit_residual) and np.isnan(rec.samples[5])
+
 
 class TestOutOfRangeTarget:
-    def test_domain_error_prints_the_target_as_a_plain_float(self):
-        # A leaves [0, 1], so phi(A) = (1.5 x y)^2 reaches 2.25, beyond the
-        # image of the bisection-backed phi; the message names the first
-        # such target as Python prints a float, not as np.float64(1.125)
+    def test_power_psi_reports_a_witness_where_A_leaves_the_unit_interval(self):
+        # A leaves [0, 1]; phi is read at A clipped to [0, 1], so the
+        # bisection-backed phi reports the failure the closed form reports
         A = AggregationFunction(lambda x, y: 1.5 * x * y, provenance="1.5 x y")
+        report = check_quasi_homogeneity(A, PhiSpec.from_expr("x^2"), PsiSpec.power(1.0),
+                                         grid=G10)
+        assert not report.passed
+        assert report.witness == (0.4, 0.7, 1.0)
+        assert all(v in G10.points for v in report.witness)
+        closed = check_quasi_homogeneity(A, PhiSpec.power(2.0), PsiSpec.power(1.0), grid=G10)
+        assert closed.witness == report.witness
+        assert abs(closed.max_residual - report.max_residual) <= 1e-12
+
+    def test_domain_error_prints_the_target_as_a_plain_float(self):
+        # 1.125 lies beyond the image of x^2 on [0, 1]; the message names
+        # it as Python prints a float, not as np.float64(1.125)
+        square = functools.partial(eval_expr, parse_expr("x^2"))
         with pytest.raises(DomainError) as info:
-            check_quasi_homogeneity(A, PhiSpec.from_expr("x^2"), PsiSpec.power(1.0),
-                                    grid=G10)
+            bisect_increasing(square, np.array([0.5, 1.125, 2.25]))
         assert str(info.value) == (
             "target 1.125 is not bracketed by [0.0, 1.0] (no solution within tol)")
 

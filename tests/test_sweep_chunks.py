@@ -120,7 +120,8 @@ def test_phi_of_base_is_evaluated_once_per_sweep(monkeypatch):
                       inverse=sq.inverse, name="x^2", closed_form=True)
     run_chunked(monkeypatch, lambda: check_quasi_homogeneity(
         catalog_lookup("min"), counted, PsiSpec.power(1.0), grid=G), 1)
-    assert calls == [(len(G), len(G))]
+    # once, on the distinct base values: min takes the n + 1 grid values
+    assert calls == [(len(G),)]
 
 
 def test_bisection_backed_phi_is_independent_of_chunking(monkeypatch):

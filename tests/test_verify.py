@@ -459,7 +459,7 @@ class TestSoundness:
             report = classify(A, grid=G50)
             assert report.verdict != NOT_QH, A.name
             phi, psi = canonical_pair(report)
-            recheck = check_quasi_homogeneity(A, phi, psi, grid=G50, tol=1e-6)
+            recheck = check_quasi_homogeneity(A, phi, psi, grid=G50)
             assert recheck.passed, (A.name, recheck.max_residual)
 
     def test_random_triples_soundness(self, triples_50):
@@ -469,7 +469,7 @@ class TestSoundness:
             report = classify(A, grid=grid)
             assert report.verdict == CLASS1
             phi, psi = canonical_pair(report)
-            recheck = check_quasi_homogeneity(A, phi, psi, grid=grid, tol=1e-6)
+            recheck = check_quasi_homogeneity(A, phi, psi, grid=grid)
             assert recheck.passed
 
     def test_canonical_pair_refuses_refuted(self):
