@@ -10,6 +10,7 @@ on functions not declared continuous bijections.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable
 
@@ -207,14 +208,13 @@ COMBINERS: dict[str, Callable] = {
 
 
 def aggregation_from_combiner(combiner: str, u: UnitFunction, v: UnitFunction,
-                              *, validate: bool = True,
-                              grid: Grid | None = None) -> AggregationFunction:
+                              *, validate: bool = True) -> AggregationFunction:
     """A(x, y) = combiner(u(x), v(y)) for a named bivariate combiner.
 
-    With ``validate`` (the default) the result is checked eagerly on the
+    With ``validate`` (the default) the result is checked on the default
     grid and rejected with a witness if it is not an aggregation function.
     """
-    if combiner not in COMBINERS:
+    if not isinstance(combiner, str) or combiner not in COMBINERS:
         raise DomainError(
             f"unknown combiner {combiner!r}; choose from {sorted(COMBINERS)}"
         )
@@ -225,18 +225,14 @@ def aggregation_from_combiner(combiner: str, u: UnitFunction, v: UnitFunction,
         name=f"{combiner}({u.name or 'u'}, {v.name or 'v'})",
     )
     if validate:
-        _validate_eagerly(A, grid)
+        from .verify import check_aggregation
+
+        report = check_aggregation(A, tol=0.0)
+        if not report.passed:
+            raise ContractError(
+                f"{A.name or A.provenance} is not an aggregation function: "
+                f"{report.reason}", report=report)
     return A
-
-
-def _validate_eagerly(A: AggregationFunction, grid: Grid | None) -> None:
-    from .verify import check_aggregation
-
-    report = check_aggregation(A, grid=grid or default_grid(), tol=0.0)
-    if not report.passed:
-        raise ContractError(
-            f"{A.name or A.provenance} is not an aggregation function: "
-            f"{report.reason}", report=report)
 
 
 # ----------------------------------------------------------------- catalog
@@ -290,7 +286,12 @@ def _build_flat(params):
     from .construct import class_flat
 
     _require(params, "flat", ("alpha", "beta"))
-    return class_flat(float(params["alpha"]), float(params["beta"]))
+    try:
+        alpha, beta = float(params["alpha"]), float(params["beta"])
+    except (TypeError, ValueError):
+        raise DomainError(f"flat needs numbers alpha and beta, got "
+                          f"{params['alpha']!r} and {params['beta']!r}") from None
+    return class_flat(alpha, beta)
 
 
 def _build_boundary(params):
@@ -327,8 +328,10 @@ def catalog_describe() -> list[tuple[str, str, tuple[str, ...]]]:
 
 def catalog_lookup(name: str, params: dict | None = None) -> AggregationFunction:
     """Named aggregation functions with public, CLI-facing identifiers."""
-    if name not in _CATALOG:
+    if not isinstance(name, str) or name not in _CATALOG:
         raise DomainError(f"unknown catalog entry {name!r}; choose from {catalog_names()}")
+    if not isinstance(params or {}, Mapping):
+        raise DomainError(f"catalog params must be a mapping, got {params!r}")
     _, keys, builder = _CATALOG[name]
     params = dict(params or {})
     if not keys and params:

@@ -61,15 +61,8 @@ def spec_from_args(args) -> dict:
         return spec
 
     if args.fn:
-        params = {}
-        for key in ("alpha", "beta"):
-            val = getattr(args, key)
-            if val is not None:
-                params[key] = val
-        for key in ("g", "h"):
-            val = getattr(args, key)
-            if val is not None:
-                params[key] = val
+        params = {key: getattr(args, key) for key in ("alpha", "beta", "g", "h")
+                  if getattr(args, key) is not None}
         return {"kind": "catalog", "name": args.fn, "params": params}
 
     if args.triple:
@@ -92,25 +85,30 @@ def build_aggregation(spec: dict, *, validate: bool = True) -> AggregationFuncti
     as check failures (exit 1) rather than rejected up front.
     """
     kind = spec.get("kind")
+
+    def field(key):
+        if key not in spec:
+            raise QhaggError(f"{kind} spec is missing the {key!r} field")
+        return spec[key]
+
     if kind == "catalog":
         return catalog_lookup(spec.get("name", ""), spec.get("params") or {})
     if kind == "triple":
         t = GeneratorTriple(
-            f=unit_function_from_expr(spec["f"], continuous_bijection=True),
-            g=unit_function_from_expr(spec["g"], increasing=True),
-            h=unit_function_from_expr(spec["h"], increasing=True),
+            f=unit_function_from_expr(field("f"), continuous_bijection=True),
+            g=unit_function_from_expr(field("g"), increasing=True),
+            h=unit_function_from_expr(field("h"), increasing=True),
         )
         return from_triple(t, validate=validate)
     if kind == "flat":
-        return catalog_lookup("flat", {"alpha": spec.get("alpha"),
-                                       "beta": spec.get("beta")})
+        return catalog_lookup("flat", {"alpha": field("alpha"), "beta": field("beta")})
     if kind == "boundary":
         return catalog_lookup("boundary_only", {"g": spec.get("g", "x"),
                                                 "h": spec.get("h", "x")})
     if kind == "expr2d":
         u = unit_function_from_expr(spec.get("u", "x"))
         v = unit_function_from_expr(spec.get("v", "x"))
-        return aggregation_from_combiner(spec["combiner"], u, v, validate=validate)
+        return aggregation_from_combiner(field("combiner"), u, v, validate=validate)
     raise QhaggError(f"unknown function-spec kind {kind!r}")
 
 
@@ -136,41 +134,6 @@ def parse_phi(text: str, b_flag: str | None) -> PhiSpec:
     return PhiSpec.from_expr(text, b=float("inf") if b_flag else None)
 
 
-# ------------------------------------------------------------------ output
-
-
-def _fit_label(section, grid) -> str:
-    pts = grid.points
-    mask = (pts >= 0.1) & (pts <= 0.9)
-    xs = pts[mask]
-    ys = np.asarray(section.evaluator(xs), dtype=float)
-    if np.all(ys > 0.0):
-        try:
-            c, resid = verify.fit_power_exponent(xs, ys)
-        except QhaggError:
-            return "(sampled)"
-        if resid <= 1e-6 and c > 0:
-            return "x (fitted)" if abs(c - 1.0) < 1e-9 else f"x^{c:g} (fitted)"
-    return "(sampled)"
-
-
-def render_classification(report, grid) -> str:
-    if report.verdict == verify.CLASS1:
-        return f"Class1 delta={_fit_label(report.delta, grid)}"
-    if report.verdict == verify.CLASS2:
-        return f"Class2 alpha={report.alpha:g} beta={report.beta:g}"
-    if report.verdict == verify.CLASS3:
-        return (f"Class3 g={_fit_label(report.g, grid)} "
-                f"h={_fit_label(report.h, grid)}")
-    lam, x, y, res = report.witness
-    return (f"NotQuasiHomogeneous witness=(lam={lam!r}, x={x!r}, y={y!r}, "
-            f"residual={res!r})")
-
-
-def _result_line(passed: bool, residual: float) -> str:
-    return f"RESULT {'pass' if passed else 'fail'} max_residual={residual!r}"
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -190,28 +153,19 @@ def cmd_check(args) -> int:
 
     if args.mode == "agg":
         report = verify.check_aggregation(A, grid=grid, **tol)
-        print(report)
-        print(_result_line(report.passed, report.max_violation))
-        return 0 if report.passed else 1
-
-    if args.mode == "qh":
+        passed, residual = report.passed, report.max_violation
+    elif args.mode == "qh":
         if args.psi is None:
             raise QhaggError("--mode qh requires --psi")
-        psi = parse_psi(args.psi)
-        phi = parse_phi(args.phi, args.phi_b)
+        psi, phi = parse_psi(args.psi), parse_phi(args.phi, args.phi_b)
         report = verify.check_quasi_homogeneity(A, phi, psi, grid=grid, **tol)
-        print(report)
-        print(_result_line(report.passed, report.max_residual))
-        return 0 if report.passed else 1
-
-    report = verify.classify(A, grid=grid, **tol)
-    print(render_classification(report, grid))
-    if report.reason:
-        print(f"reason: {report.reason}")
-    for key in sorted(report.diagnostics):
-        print(f"diagnostic {key}: {report.diagnostics[key]!r}")
-    print(_result_line(report.is_quasi_homogeneous, report.max_residual))
-    return 0 if report.is_quasi_homogeneous else 1
+        passed, residual = report.passed, report.max_residual
+    else:
+        report = verify.classify(A, grid=grid, **tol)
+        passed, residual = report.is_quasi_homogeneous, report.max_residual
+    print(report)
+    print(f"RESULT {'pass' if passed else 'fail'} max_residual={residual!r}")
+    return 0 if passed else 1
 
 
 def cmd_grid(args) -> int:

@@ -146,17 +146,17 @@ def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
     return TripleValidationReport(tuple(checks), g.n, tol)
 
 
-def from_triple(t: GeneratorTriple, *, validate: bool = True,
-                grid: Grid | None = None, tol: float = 1e-9) -> AggregationFunction:
+def from_triple(t: GeneratorTriple, *, validate: bool = True) -> AggregationFunction:
     """Aggregation function generated by the triple.
 
     By contract the result satisfies A(x, 1) = h(x), A(1, y) = g(y) and
     A(x, x) = f(x). With ``validate=False`` the raw formula is built even
     for invalid triples; that is how one demonstrates the ratio conditions
-    are not vacuous (the raw formula then fails monotonicity).
+    are not vacuous (the raw formula then fails monotonicity). Validation
+    runs ``validate_triple`` with its defaults.
     """
     if validate:
-        report = validate_triple(t, grid=grid, tol=tol)
+        report = validate_triple(t)
         if not report.ok:
             raise ContractError(
                 "invalid generator triple:\n" + str(report), report=report)
@@ -241,10 +241,10 @@ def class_boundary(g: UnitFunction, h: UnitFunction,
         raise ContractError("class_boundary requires g and h declared increasing")
     gd = grid or default_grid()
     for label, u in (("g", g), ("h", h)):
-        end = float(u(1.0))
+        vals = np.asarray(u.evaluator(gd.points), dtype=float)
+        end = float(vals[-1])
         if abs(end - 1.0) > 1e-12:
             raise ContractError(f"class_boundary requires {label}(1)=1, got {end!r}")
-        vals = np.asarray(u.evaluator(gd.points), dtype=float)
         d = np.diff(vals)
         w = interval_at(gd.points, first_witness(d, d < 0.0))
         if w is not None:

@@ -167,9 +167,11 @@ def parse_expr(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises ParseError (with a 0-based offset) on lexical errors, syntax
-    errors and trailing garbage.
+    errors and trailing garbage, and on text that is not a string.
     """
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        raise ParseError(f"expression must be a string, got {text!r}", 0)
+    if not text.strip():
         raise ParseError("empty expression", 0)
     return _Parser(text).parse()
 

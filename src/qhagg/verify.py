@@ -29,7 +29,7 @@ from .construct import boundary_formula, flat_formula, triple_of
 from .errors import ContractError, DomainError
 from .exprparse import eval_expr, parse_expr
 from .numerics import (Grid, default_grid, distinct, elementwise, ext_mul, first_witness,
-                       interval_at, inverse_evaluator)
+                       interval_at, inverse_evaluator, make_grid)
 
 __all__ = [
     "PsiSpec",
@@ -572,6 +572,27 @@ def fit_power_exponent(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return c, resid
 
 
+#: A power fit reads lam in [0.1, 0.9] only (the endpoints are forced and
+#: the log fit is singular at 0). It accepts y = x^c when c > 0 and x^c lies
+#: within POWER_FIT_TOL of every sample.
+POWER_FIT_TOL = 1e-6
+
+
+def _fit_window(p: np.ndarray) -> np.ndarray:
+    return (p >= 0.1) & (p <= 0.9)
+
+
+def _power_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, str]:
+    """The power-fit rule of psi recovery and of section labels:
+    (c, residual, why not), where ``why not`` is "" for an accepted fit."""
+    c, resid = fit_power_exponent(xs, ys)
+    if not c > 0.0:
+        return c, resid, f"fitted exponent {c:g} is not positive"
+    if not resid <= POWER_FIT_TOL:
+        return c, resid, f"power fit residual {resid:g} above {POWER_FIT_TOL:g}"
+    return c, resid, ""
+
+
 @dataclass(frozen=True)
 class PsiRecovery:
     lam: np.ndarray
@@ -588,15 +609,14 @@ class PsiRecovery:
                 f"(max fit residual {self.max_fit_residual!r})")
 
 
-def recover_psi(A: AggregationFunction, phi: PhiSpec, grid: Grid | None = None,
-                fit_tol: float = 1e-6) -> PsiRecovery:
+def recover_psi(A: AggregationFunction, phi: PhiSpec,
+                grid: Grid | None = None) -> PsiRecovery:
     """Sample psi(lam) = phi(A(lam, lam)) / phi(1) and fit its form.
 
     For unbounded phi the ratio is taken pointwise with the 1/inf = 0
     convention: finite phi-values over phi(1) = inf give 0, and the
-    infinite value itself gives 1. The power fit uses interior points
-    lam in [0.1, 0.9] only (the endpoints are forced and the log fit is
-    singular at 0). An ambiguous fit or a NaN sample gives no fit, never a forced one.
+    infinite value itself gives 1. The fit follows the rule of POWER_FIT_TOL;
+    an ambiguous fit or a NaN sample gives no fit, never a forced one.
     """
     g = grid or default_grid()
     p = g.points
@@ -606,7 +626,7 @@ def recover_psi(A: AggregationFunction, phi: PhiSpec, grid: Grid | None = None,
     else:
         samples = W / float(phi.b)
 
-    mask = (p >= 0.1) & (p <= 0.9)
+    mask = _fit_window(p)
     s = samples[mask]
     if s.size == 0:
         return PsiRecovery(p, samples, None, float("nan"),
@@ -623,13 +643,9 @@ def recover_psi(A: AggregationFunction, phi: PhiSpec, grid: Grid | None = None,
     if np.any(s <= 0.0):
         return PsiRecovery(p, samples, None, float("nan"),
                            "mixed zero and positive interior samples", g.n)
-    c, resid = fit_power_exponent(p[mask], s)
-    if c <= 0.0:
-        return PsiRecovery(p, samples, None, resid,
-                           f"fitted exponent {c:g} is not positive", g.n)
-    if resid > fit_tol:
-        return PsiRecovery(p, samples, None, resid,
-                           f"power fit residual {resid:g} above {fit_tol:g}", g.n)
+    c, resid, why_not = _power_fit(p[mask], s)
+    if why_not:
+        return PsiRecovery(p, samples, None, resid, why_not, g.n)
     return PsiRecovery(p, samples, PsiSpec.power(c), resid, "power fit", g.n)
 
 
@@ -728,13 +744,32 @@ class ClassificationReport:
         return max(vals, default=0.0)
 
     def __str__(self):
+        """Verdict line, ``reason:`` if any, then the diagnostics by key. A
+        section is ``x^c (fitted)`` if the power-fit rule accepts it on
+        make_grid(grid_n), else ``(sampled)``."""
+        p = make_grid(max(self.grid_n, 1)).points
+        xs = p[_fit_window(p)]
+
+        def label(u):
+            ys = np.asarray(u.evaluator(xs), dtype=float)
+            if xs.size and np.all(ys > 0.0):
+                c, _, why_not = _power_fit(xs, ys)
+                if not why_not:
+                    return "x (fitted)" if abs(c - 1.0) < 1e-9 else f"x^{c:g} (fitted)"
+            return "(sampled)"
+
         if self.verdict == CLASS1:
-            return f"{CLASS1} delta={self.delta.name}"
-        if self.verdict == CLASS2:
-            return f"{CLASS2} alpha={self.alpha:g} beta={self.beta:g}"
-        if self.verdict == CLASS3:
-            return f"{CLASS3} g={self.g.name} h={self.h.name}"
-        return f"{NOT_QH} witness={self.witness} ({self.reason})"
+            head = f"{CLASS1} delta={label(self.delta)}"
+        elif self.verdict == CLASS2:
+            head = f"{CLASS2} alpha={self.alpha:g} beta={self.beta:g}"
+        elif self.verdict == CLASS3:
+            head = f"{CLASS3} g={label(self.g)} h={label(self.h)}"
+        else:
+            lam, x, y, res = self.witness
+            head = f"{NOT_QH} witness=(lam={lam!r}, x={x!r}, y={y!r}, residual={res!r})"
+        lines = [head, f"reason: {self.reason}"] if self.reason else [head]
+        lines += [f"diagnostic {k}: {self.diagnostics[k]!r}" for k in sorted(self.diagnostics)]
+        return "\n".join(lines)
 
 
 def classify(A: AggregationFunction, grid: Grid | None = None,

@@ -1,11 +1,13 @@
 import json
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from test_cli_golden import GOLDEN
 
-from qhagg import catalog_lookup, make_grid
+from qhagg import catalog_lookup, classify, cli, make_grid
 from qhagg.cli import build_aggregation, load_grid_csv
 
 
@@ -137,6 +139,23 @@ class TestCheck:
         assert res.stdout == ""
         assert res.stderr.startswith("error: grid too large")
         assert "Traceback" not in res.stderr
+
+
+CLASSIFY_CASES = [case[0] for case in GOLDEN if "--mode classify" in case[0]]
+
+
+@pytest.mark.parametrize("args", CLASSIFY_CASES)
+def test_check_classify_prints_the_library_report(capsys, args):
+    """``check --mode classify`` prints ``str(classify(...))`` and then the
+    RESULT line, nothing else."""
+    ns = cli.build_parser().parse_args(["check", *shlex.split(args)])
+    A = build_aggregation(cli.spec_from_args(ns), validate=False)
+    tol = {} if ns.tol is None else {"tol": ns.tol}
+    report = classify(A, grid=make_grid(ns.grid), **tol)
+    verdict = "pass" if report.is_quasi_homogeneous else "fail"
+    expected = f"{report}\nRESULT {verdict} max_residual={report.max_residual!r}\n"
+    assert cli.main(["check", *shlex.split(args)]) == (0 if verdict == "pass" else 1)
+    assert capsys.readouterr().out == expected
 
 
 class TestGrid:
@@ -272,3 +291,25 @@ class TestSpecFiles:
         res = run_cli("eval", "--spec-file", "/nonexistent.json",
                       "--x", "0", "--y", "0")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "triple", "f": "x"},
+        {"kind": "expr2d"},
+        {"kind": "flat"},
+        {"kind": "catalog", "name": "flat", "params": {"alpha": "a", "beta": 0.5}},
+        {"kind": "triple", "f": 1, "g": "x", "h": "x"},
+        {"kind": "catalog", "name": "min", "params": [1]},
+        {"kind": "flat", "alpha": None, "beta": 0.5},
+        {"kind": "expr2d", "combiner": "min", "u": 3},
+        {"kind": "expr2d", "combiner": ["min"]},
+        {"kind": "catalog", "name": ["min"]},
+    ], ids=json.dumps)
+    def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["check", "--mode", "agg", "--spec-file", str(path),
+                         "--grid", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

@@ -37,6 +37,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expr("   ")
 
+    @pytest.mark.parametrize("text", [None, 1, 0.5, ["x"]])
+    def test_non_string_text(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert exc.value.position == 0
+
     def test_lone_dot(self):
         with pytest.raises(ParseError):
             parse_expr(".")
