@@ -18,7 +18,6 @@ thresholds, so that freed array buffers stay in the heap (see ``heap``).
 
 from .algebra import (
     AggregationFunction,
-    DiagonalSection,
     UnitFunction,
     aggregation_from_combiner,
     bounded_rational,
@@ -81,7 +80,7 @@ keep_freed_buffers()
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationFunction", "DiagonalSection", "UnitFunction",
+    "AggregationFunction", "UnitFunction",
     "aggregation_from_combiner", "bounded_rational", "catalog_describe",
     "catalog_lookup", "catalog_names", "diagonal", "identity",
     "power_function", "unit_function_from_expr",

@@ -22,7 +22,6 @@ from .numerics import Grid, default_grid, elementwise, first_witness, interval_a
 
 __all__ = [
     "UnitFunction",
-    "DiagonalSection",
     "AggregationFunction",
     "identity",
     "power_function",
@@ -70,10 +69,6 @@ class UnitFunction:
 
     def __repr__(self):
         return f"UnitFunction({self.name or 'anonymous'})"
-
-
-#: Alias used where a function is specifically the diagonal x -> A(x, x).
-DiagonalSection = UnitFunction
 
 
 def identity() -> UnitFunction:
@@ -186,7 +181,7 @@ class AggregationFunction:
         return f"AggregationFunction({self.name or self.provenance})"
 
 
-def diagonal(A: AggregationFunction) -> DiagonalSection:
+def diagonal(A: AggregationFunction) -> UnitFunction:
     """The diagonal section x -> A(x, x).
 
     No declared flags are inherited; they must be re-established by checks
@@ -298,8 +293,8 @@ def _build_boundary(params):
     from .construct import class_boundary
 
     _require(params, "boundary_only", ("g", "h"))
-    g = unit_function_from_expr(str(params["g"]), increasing=True)
-    h = unit_function_from_expr(str(params["h"]), increasing=True)
+    g = unit_function_from_expr(params["g"], increasing=True)
+    h = unit_function_from_expr(params["h"], increasing=True)
     return class_boundary(g, h)
 
 

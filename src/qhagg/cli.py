@@ -40,17 +40,10 @@ def spec_from_args(args) -> dict:
 
     The same dictionaries, JSON-encoded, form the spec-file format:
     one object with a ``kind`` of catalog, triple, flat, boundary or
-    expr2d (see README for the field list of each kind).
+    expr2d (see README for the field list of each kind). The parser
+    admits exactly one of --fn, --triple, --expr2d and --spec-file.
     """
-    chosen = [name for name, flag in (("--fn", args.fn), ("--triple", args.triple),
-                                      ("--expr2d", args.expr2d),
-                                      ("--spec-file", args.spec_file)) if flag]
-    if len(chosen) != 1:
-        raise QhaggError(
-            f"exactly one of --fn / --triple / --expr2d / --spec-file is required"
-            f"{', got ' + ', '.join(chosen) if chosen else ''}")
-
-    if args.spec_file:
+    if args.spec_file is not None:
         try:
             with open(args.spec_file, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
@@ -60,12 +53,12 @@ def spec_from_args(args) -> dict:
             raise QhaggError("spec file must be a JSON object with a 'kind' field")
         return spec
 
-    if args.fn:
+    if args.fn is not None:
         params = {key: getattr(args, key) for key in ("alpha", "beta", "g", "h")
                   if getattr(args, key) is not None}
         return {"kind": "catalog", "name": args.fn, "params": params}
 
-    if args.triple:
+    if args.triple is not None:
         items = dict(_parse_triple_item(item) for item in args.triple)
         missing = [k for k in ("f", "g", "h") if k not in items]
         if missing:
@@ -127,8 +120,7 @@ def parse_psi(text: str) -> PsiSpec:
 
 
 def parse_phi(text: str, b_flag: str | None) -> PhiSpec:
-    if b_flag is not None and b_flag != "inf":
-        raise QhaggError(f"--phi-b accepts only 'inf', got {b_flag!r}")
+    """``b_flag`` is None or "inf", the one value the parser admits."""
     if text.strip() == "x" and b_flag is None:
         return PhiSpec.identity()
     return PhiSpec.from_expr(text, b=float("inf") if b_flag else None)
@@ -235,18 +227,19 @@ def load_grid_csv(path: str) -> AggregationFunction:
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fn", help="catalog entry name (see the catalog command)")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--fn", help="catalog entry name (see the catalog command)")
+    which.add_argument("--triple", nargs=3, metavar=("f=EXPR", "g=EXPR", "h=EXPR"),
+                       help="generator triple, e.g. --triple f=x g=x h=2*x/(1+x)")
+    which.add_argument("--expr2d", metavar="COMBINER",
+                       help="combine two unit expressions: min, max, product, mean, bounded_sum")
+    which.add_argument("--spec-file", help="JSON function-spec file (see README)")
     p.add_argument("--alpha", type=float, help="flat-class boundary constant A(0, y)")
     p.add_argument("--beta", type=float, help="flat-class boundary constant A(x, 0)")
     p.add_argument("--g", help="boundary-class section A(1, y) as an expression")
     p.add_argument("--h", help="boundary-class section A(x, 1) as an expression")
-    p.add_argument("--triple", nargs=3, metavar=("f=EXPR", "g=EXPR", "h=EXPR"),
-                   help="generator triple, e.g. --triple f=x g=x h=2*x/(1+x)")
-    p.add_argument("--expr2d", metavar="COMBINER",
-                   help="combine two unit expressions: min, max, product, mean, bounded_sum")
     p.add_argument("--ux", help="expression u(x) for --expr2d (default x)")
     p.add_argument("--vy", help="expression v(y) for --expr2d (default x)")
-    p.add_argument("--spec-file", help="JSON function-spec file (see README)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--psi", help="scaling function: power:c=<num> | step0 | step1")
     p_check.add_argument("--phi", default="x",
                          help="scaling bijection as an expression (default x)")
-    p_check.add_argument("--phi-b", dest="phi_b", default=None,
+    p_check.add_argument("--phi-b", dest="phi_b", default=None, choices=("inf",),
                          help="'inf' to read the phi expression on [0,1) with phi(1)=inf")
     p_check.add_argument("--grid", type=int, default=100, metavar="N",
                          help="grid resolution (N+1 points per axis, default 100)")

@@ -261,10 +261,11 @@ def class_boundary(g: UnitFunction, h: UnitFunction,
 def triple_of(A: AggregationFunction) -> GeneratorTriple:
     """Canonical triple of A: diagonal plus the two boundary sections.
 
-    Never fails; the sections carry no declared flags. For a function with
-    a bijective diagonal generated by some triple, this recovers it
-    (f = A(x,x), g = A(1, .), h = A(., 1)); otherwise classification decides
-    what the sections mean.
+    Never fails. f carries no declared flags; g and h are declared
+    increasing, as every section of an aggregation function is. For a
+    function with a bijective diagonal generated by some triple, this
+    recovers it (f = A(x,x), g = A(1, .), h = A(., 1)); otherwise
+    classification decides what the sections mean.
     """
     a_ev = A.evaluator
 

@@ -183,9 +183,10 @@ def eval_expr(e: Expr, x):
     """Evaluate elementwise at ``x`` (float or array).
 
     Raises EvalError on division by zero, on a negative base raised to a
-    fractional power, and on non-finite results.
+    fractional power, and on non-finite results, overflow included.
     """
-    out = np.asarray(_eval(e, np.asarray(x, dtype=float)), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(_eval(e, np.asarray(x, dtype=float)), dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvalError("expression evaluated to a non-finite value")
     return elementwise(out, x)

@@ -5,10 +5,13 @@ and every evaluation on a tile of a chunk allocates and frees a handful
 of temporaries of up to 512 KiB. glibc's default heap returns its free
 top to the kernel as soon as that exceeds twice the largest buffer freed
 so far (about 2 MiB once a 1 MiB slab has been freed), so the next
-evaluation faults every page back in. On the triple-expr benchmark, when
-chunks of 2^18 lanes were evaluated whole, that was 27,000-34,000 minor
-page faults per pass, a quarter of its time, and the count swung by a
-quarter with incidental changes to the order of allocations.
+evaluation faults every page back in. On in-process passes of the
+benchmark's seed-1 job lists (1 vCPU Intel Xeon, Python 3.11.7, numpy
+2.4.6, glibc 2.36), the default thresholds cost 14,000-34,000 minor page
+faults per triple-expr pass, varying from pass to pass, and 6,619 per
+classify-catalog pass; with the thresholds set here, at most 26. The
+fastest classify-catalog pass was 42% slower with the defaults, the
+fastest triple-expr pass 1-30% slower over three runs.
 
 ``keep_freed_buffers`` fixes the two thresholds instead: buffers under
 4 MiB come from the heap, and up to 16 MiB of free heap top stays

@@ -68,9 +68,6 @@ class Grid:
     def __len__(self) -> int:
         return self.n + 1
 
-    def __iter__(self):
-        return iter(self.points.tolist())
-
     @property
     def interior(self) -> np.ndarray:
         """Points with 0 < x < 1."""

@@ -28,8 +28,8 @@ from .algebra import AggregationFunction, UnitFunction, identity, power_function
 from .construct import boundary_formula, flat_formula, triple_of
 from .errors import ContractError, DomainError
 from .exprparse import eval_expr, parse_expr
-from .numerics import (Grid, default_grid, distinct, elementwise, ext_mul, first_witness,
-                       interval_at, inverse_evaluator, make_grid)
+from .numerics import (Grid, default_grid, distinct, elementwise, first_witness, interval_at,
+                       inverse_evaluator, make_grid)
 
 __all__ = [
     "PsiSpec",
@@ -187,16 +187,18 @@ class PhiSpec:
                   grid: Grid | None = None) -> "PhiSpec":
         """Expression-backed phi, validated eagerly on the grid.
 
-        With finite ``b`` (default: the expression's value at 1) the
-        expression must satisfy phi(0) = 0 exactly and increase strictly.
-        With ``b = inf`` the expression is read on [0, 1) and phi(1) is the
-        point at infinity; inversion works through the bounded transform
+        The expression must satisfy phi(0) = 0 exactly and increase
+        strictly. ``b`` is None or inf. With None, b is the expression's
+        value at 1. With inf, the expression is read on [0, 1) and phi(1) is
+        the point at infinity; inversion works through the bounded transform
         t = phi/(1 + phi), applied to the function and to the target alike.
         """
+        unbounded = b is not None
+        if unbounded and b != float("inf"):
+            raise DomainError(f"phi expression {text!r}: b must be None or inf, got {b!r}")
         tree = parse_expr(text)
         g = grid or default_grid()
         pts = g.points
-        unbounded = b is not None and np.isinf(b)
         sample_pts = pts[:-1] if unbounded else pts
         vals = np.asarray(eval_expr(tree, sample_pts), dtype=float)
         if vals[0] != 0.0:
@@ -224,16 +226,10 @@ class PhiSpec:
             return PhiSpec(b=float("inf"), evaluator=evaluator,
                            inverse=lambda y: bounded(squash(y)), name=text)
 
-        b_val = float(vals[-1]) if b is None else float(b)
-        if b is not None and abs(float(vals[-1]) - b_val) > 1e-12:
-            raise ContractError(
-                f"phi expression {text!r} has phi(1)={float(vals[-1])!r}, "
-                f"expected b={b_val!r}")
-
         def evaluator(x, t=tree):
             return np.asarray(eval_expr(t, x), dtype=float)
 
-        return PhiSpec(b=b_val, evaluator=evaluator,
+        return PhiSpec(b=float(vals[-1]), evaluator=evaluator,
                        inverse=inverse_evaluator(UnitFunction(evaluator)), name=text)
 
 
@@ -301,16 +297,19 @@ class DiagonalReport:
     max_jump: float
     max_jump_at: tuple
     witness: tuple | None
+    reason: str
     grid_n: int
+    tol: float
 
     def __str__(self):
-        return (
-            f"diagonal bijection check (grid n={self.grid_n}): "
+        text = (
+            f"diagonal bijection check (grid n={self.grid_n}, tol={self.tol:g}): "
             f"endpoints={'ok' if self.endpoints_ok else 'FAIL'}, "
             f"strict increase={'ok' if self.strictly_increasing_ok else 'FAIL'}, "
             f"continuity heuristic={'ok' if self.continuity_ok else 'FAIL'} "
             f"(max jump {self.max_jump!r} on {self.max_jump_at})"
         )
+        return text if self.passed else f"{text}\nfirst violation: {self.reason}"
 
 
 # ------------------------------------------------------------------ checks
@@ -438,8 +437,9 @@ def _scaling_rhs(phi: PhiSpec, psi: PsiSpec, V: np.ndarray):
         if z < u:
             w, at = phi_of_base()
             # invert before the slab is allocated, so it never coexists with
-            # phi_inv's temporaries
-            inv = np.asarray(phi.inverse(ext_mul(S[z:u, None], w[None, :])), dtype=float)
+            # phi_inv's temporaries; every multiplier here lies in (0, 1), so
+            # no zero meets an infinite phi
+            inv = np.asarray(phi.inverse(S[z:u, None] * w[None, :]), dtype=float)
         Y = np.empty((len(S), *V.shape))
         Y[:z] = zero
         if z < u:
@@ -525,11 +525,10 @@ def check_multiplicative(psi, grid: Grid | None = None,
 
     Accepts a PsiSpec, a UnitFunction, or any elementwise callable.
     """
-    fn = psi.evaluator if isinstance(psi, UnitFunction) else psi
     g = grid or default_grid()
     p = g.points
-    F = np.asarray(fn(p), dtype=float)
-    lhs = np.asarray(fn(p[:, None] * p[None, :]), dtype=float)
+    F = np.asarray(psi(p), dtype=float)
+    lhs = np.asarray(psi(p[:, None] * p[None, :]), dtype=float)
     rhs = F[:, None] * F[None, :]
     resid = np.abs(lhs - rhs)
     w = first_witness(resid, resid > tol)
@@ -547,10 +546,9 @@ def check_homogeneous_order(F, k: float, grid: Grid | None = None,
     """
     if not k > 0:
         raise DomainError(f"homogeneity order must be positive, got {k}")
-    fn = F.evaluator if isinstance(F, AggregationFunction) else F
     g = grid or default_grid()
-    base = _sample(fn, g.points)
-    return _sweep(fn, lambda L: np.power(L, k) * base, g, tol, f"homogeneity of order {k:g}")
+    base = _sample(F, g.points)
+    return _sweep(F, lambda L: np.power(L, k) * base, g, tol, f"homogeneity of order {k:g}")
 
 
 # ------------------------------------------------------------ psi recovery
@@ -678,21 +676,27 @@ def _diagonal_report(d: np.ndarray, g: Grid, tol: float) -> DiagonalReport:
     max_jump_at = (float(p[jmax]), float(p[jmax + 1]))
     continuity_ok = max_jump <= 10.0 / g.n
 
-    witness = None
+    witness, reason = None, ""
     if not strict_ok:
         (i,) = first_flat
         witness = (float(p[i]), float(p[i + 1]), float(d[i]), float(d[i + 1]))
+        why = "diagonal is not strictly increasing"
     elif not endpoints_ok:
         witness = (0.0, 1.0, float(d[0]), float(d[-1]))
+        why = "diagonal endpoints are not (0, 1)"
     elif not continuity_ok:
         witness = (*max_jump_at, float(d[jmax]), float(d[jmax + 1]))
+        why = "diagonal jumps beyond the continuity heuristic"
+    if witness is not None:
+        x1, x2, d1, d2 = witness
+        reason = f"{why}: delta({x1!r})={d1!r}, delta({x2!r})={d2!r}"
 
     return DiagonalReport(passed=endpoints_ok and strict_ok and continuity_ok,
                           endpoints_ok=endpoints_ok,
                           strictly_increasing_ok=strict_ok,
                           continuity_ok=continuity_ok,
                           max_jump=max_jump, max_jump_at=max_jump_at,
-                          witness=witness, grid_n=g.n)
+                          witness=witness, reason=reason, grid_n=g.n, tol=tol)
 
 
 CLASS1 = "Class1"
@@ -793,8 +797,8 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
     Branches 2 and 3 are mutually exclusive and both preclude a bijective
     diagonal, so at most one branch can succeed. Witnesses are reported in
     deterministic grid order. The verdict is evidence relative to the grid
-    and tolerance recorded in the report. A is sampled once on the base
-    grid and once on the diagonal; every check reads those samples.
+    and tolerance recorded in the report. A is sampled once, on the base
+    grid, and every check reads that sample, the diagonal included.
     """
     g = grid or default_grid()
     if g.n < 2:
@@ -822,30 +826,22 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
                           reason=refuted)
         return None
 
-    t = triple_of(A)
-    d = np.asarray(t.f.evaluator(p), dtype=float)
-
+    t, d = triple_of(A), V.diagonal()
     if np.all(np.abs(d[1:-1] - 1.0) <= tol):
-        alpha, beta = float(A(0.0, 1.0)), float(A(1.0, 0.0))
+        alpha, beta = float(V[0, -1]), float(V[-1, 0])
         found, formula = report(verdict=CLASS2, alpha=alpha, beta=beta), flat_formula(alpha, beta)
         level, law, form = 1, "step-at-zero", "flat-class"
     elif np.all(np.abs(d[1:-1]) <= tol):
         found = report(verdict=CLASS3, g=t.g, h=t.h)
-        formula = boundary_formula(t.g.evaluator, t.h.evaluator)
+        # read on the grid only: g = A(1, .) and h = A(., 1) are V's last row and column
+        formula = boundary_formula(lambda y: V[-1], lambda x: V[:, -1:])
         level, law, form = 0, "step-at-one", "boundary-class"
     else:
         dbc = _diagonal_report(d, g, tol)
         diagnostics["diagonal_max_jump"] = dbc.max_jump
         if not dbc.passed:
             x1, x2, d1, d2 = dbc.witness
-            if not dbc.strictly_increasing_ok:
-                why = "diagonal is not strictly increasing"
-            elif not dbc.endpoints_ok:
-                why = "diagonal endpoints are not (0, 1)"
-            else:
-                why = "diagonal jumps beyond the continuity heuristic"
-            return report(verdict=NOT_QH, witness=(x1, x2, x2, abs(d2 - d1)),
-                          reason=f"{why}: delta({x1!r})={d1!r}, delta({x2!r})={d2!r}")
+            return report(verdict=NOT_QH, witness=(x1, x2, x2, abs(d2 - d1)), reason=dbc.reason)
         found = report(verdict=CLASS1, delta=t.f.declared(
             increasing=True, strictly_increasing=True, continuous_bijection=True))
         return scaling_law(found, "diagonal is bijective but the scaling law with "

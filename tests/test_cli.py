@@ -303,6 +303,9 @@ class TestSpecFiles:
         {"kind": "expr2d", "combiner": "min", "u": 3},
         {"kind": "expr2d", "combiner": ["min"]},
         {"kind": "catalog", "name": ["min"]},
+        {"kind": "boundary", "g": None},
+        {"kind": "boundary", "g": 1},
+        {"kind": "catalog", "name": "boundary_only", "params": {"g": None, "h": "x"}},
     ], ids=json.dumps)
     def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, spec):
         path = tmp_path / "bad.json"
@@ -313,3 +316,15 @@ class TestSpecFiles:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "boundary", "g": None},
+        {"kind": "catalog", "name": "boundary_only", "params": {"g": None, "h": "x"}},
+    ], ids=json.dumps)
+    def test_null_section_is_named(self, tmp_path, capsys, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["check", "--mode", "agg", "--spec-file", str(path),
+                         "--grid", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: expression must be a string, got None (at offset 0)\n")

@@ -92,6 +92,13 @@ class TestEval:
         with pytest.raises(EvalError):
             eval_expr(parse_expr("x^(0-1)"), 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [0.5, GRID], ids=["scalar", "array"])
+    @pytest.mark.parametrize("text", ["10^400", "10^300*10^300", "10^400-10^400"])
+    def test_overflow_is_a_non_finite_value(self, text, x):
+        with pytest.raises(EvalError, match="non-finite"):
+            eval_expr(parse_expr(text), x)
+
     def test_array_evaluation(self):
         e = parse_expr("2*x/(1+x)")
         out = eval_expr(e, GRID)

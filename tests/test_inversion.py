@@ -235,6 +235,26 @@ class TestBracketBound:
         exact = root(y)
         assert np.all(np.abs(phi.invert(y) - exact) <= 2.0 ** -44 + np.spacing(exact))
 
+    @pytest.mark.parametrize("text, mp_phi", [
+        ("x^20", lambda x: x ** 20),
+        ("x^0.05", lambda x: x ** 0.05),
+        ("(x+x^5)/2", lambda x: (x + x ** 5) / 2),
+        ("(1024^x-1)/1023", lambda x: (1024 ** x - 1) / 1023),
+    ], ids=["x^20", "x^0.05", "(x+x^5)/2", "(1024^x-1)/1023"])
+    def test_root_within_the_bracket_width_by_mpmath(self, text, mp_phi):
+        """Steep phis, and phis with no usable closed form. The true root
+        lies within 2^-44 of a root r exactly when phi(r - 2^-44) <= y <=
+        phi(r + 2^-44), which mpmath decides at 200 bits."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2)
+        y = np.concatenate([rng.uniform(size=150), 10.0 ** rng.uniform(-30.0, 0.0, 150)])
+        roots = PhiSpec.from_expr(text).invert(y)
+        with mpmath.workprec(200):
+            half = mpmath.mpf(2) ** -44
+            for target, r in zip(y.tolist(), roots.tolist()):
+                lo, hi = max(mpmath.mpf(r) - half, 0), min(mpmath.mpf(r) + half, 1)
+                assert mp_phi(lo) <= target <= mp_phi(hi), (target, r)
+
 
 _BISECTED = UnitFunction(evaluator=power_function(2).evaluator, continuous_bijection=True,
                          name="x^2 (no closed form)")

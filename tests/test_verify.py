@@ -26,6 +26,7 @@ from qhagg import (
     classify,
     diagonal,
     diagonal_bijection_check,
+    fit_power_exponent,
     from_triple,
     identity,
     make_grid,
@@ -309,6 +310,27 @@ class TestRecoverPsi:
         rec = recover_psi(catalog_lookup("drastic"), phi, grid=GRID)
         assert rec.fitted == PsiSpec.step_at_one()
 
+    def test_text_of_a_fit(self):
+        rec = recover_psi(catalog_lookup("product"), PhiSpec.identity(), grid=make_grid(10))
+        assert str(rec) == "psi recovery: power:c=2 (max fit residual 0.0)"
+
+    def test_grid_too_coarse_for_a_fit(self):
+        rec = recover_psi(catalog_lookup("product"), PhiSpec.identity(), grid=make_grid(1))
+        assert rec.fitted is None
+        assert str(rec) == "psi recovery: no fit (grid too coarse for an interior fit)"
+
+    def test_mixed_zero_and_positive_samples_give_no_fit(self):
+        # the Lukasiewicz t-norm: its diagonal max(0, 2x - 1) is 0 up to 1/2
+        luk = AggregationFunction(lambda x, y: np.maximum(0.0, x + y - 1.0),
+                                  provenance="lukasiewicz")
+        rec = recover_psi(luk, PhiSpec.identity(), grid=make_grid(10))
+        assert rec.fitted is None
+        assert str(rec) == "psi recovery: no fit (mixed zero and positive interior samples)"
+
+    def test_exponent_fit_refuses_the_point_one_alone(self):
+        with pytest.raises(DomainError, match="x=1 alone"):
+            fit_power_exponent(np.array([1.0]), np.array([1.0]))
+
 
 class TestDiagonalBijectionCheck:
     def test_identity_passes(self):
@@ -341,6 +363,34 @@ class TestDiagonalBijectionCheck:
         report = diagonal_bijection_check(saturating, grid=GRID)
         assert not report.strictly_increasing_ok
         assert report.witness[0] == 0.5
+
+    def test_text_of_a_pass(self):
+        report = diagonal_bijection_check(identity(), grid=make_grid(10))
+        assert report.reason == ""
+        assert str(report) == (
+            "diagonal bijection check (grid n=10, tol=1e-09): endpoints=ok, "
+            "strict increase=ok, continuity heuristic=ok "
+            "(max jump 0.10000000000000009 on (0.7, 0.8))")
+
+    @pytest.mark.parametrize("fn, n, flags, reason", [
+        (lambda x: np.minimum(1.0, 2.0 * x), 10,
+         "endpoints=ok, strict increase=FAIL, continuity heuristic=ok "
+         "(max jump 0.20000000000000007 on (0.3, 0.4))",
+         "diagonal is not strictly increasing: delta(0.5)=1.0, delta(0.6)=1.0"),
+        (lambda x: 0.9 * x, 10,
+         "endpoints=FAIL, strict increase=ok, continuity heuristic=ok "
+         "(max jump 0.09000000000000008 on (0.7, 0.8))",
+         "diagonal endpoints are not (0, 1): delta(0.0)=0.0, delta(1.0)=0.9"),
+        (lambda x: 0.5 * x + np.where(x >= 0.5, 0.5, 0.0), 20,
+         "endpoints=ok, strict increase=ok, continuity heuristic=FAIL "
+         "(max jump 0.525 on (0.45, 0.5))",
+         "diagonal jumps beyond the continuity heuristic: delta(0.45)=0.225, delta(0.5)=0.75"),
+    ], ids=["strict", "endpoints", "continuity"])
+    def test_text_of_a_refutation(self, fn, n, flags, reason):
+        report = diagonal_bijection_check(UnitFunction(evaluator=fn), grid=make_grid(n))
+        assert report.reason == reason
+        assert str(report) == (f"diagonal bijection check (grid n={n}, tol=1e-09): {flags}\n"
+                               f"first violation: {reason}")
 
 
 class TestClassify:
@@ -425,7 +475,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("name", ["product", "drastic"])
     def test_diagonal_is_sampled_once(self, name):
-        # the diagonal is the only evaluation of A on a 1-d array of grid points
+        # the diagonal is read from the base sample: A never runs on a 1-d
+        # array of grid points
         A, calls = catalog_lookup(name), []
 
         def evaluator(x, y):
@@ -433,7 +484,7 @@ class TestClassify:
             return A.evaluator(x, y)
 
         classify(AggregationFunction(evaluator, provenance="counted"), grid=G50)
-        assert calls.count((len(G50),)) == 1
+        assert calls.count((len(G50),)) == 0
 
     def test_degenerate_grid_rejected(self):
         # n = 1 has no interior points, so every interior test is vacuous
