@@ -46,7 +46,7 @@ from .errors import (
     ParseError,
     QhaggError,
 )
-from .exprparse import Expr, eval_expr, format_expr, parse_expr
+from .exprparse import Expr, eval_expr, parse_expr
 from .heap import keep_freed_buffers
 from .numerics import (
     Grid,
@@ -88,7 +88,7 @@ __all__ = [
     "class_flat", "from_triple", "triple_of", "validate_triple",
     "ContractError", "DomainError", "EvalError", "ExprError", "ParseError",
     "QhaggError",
-    "Expr", "eval_expr", "format_expr", "parse_expr",
+    "Expr", "eval_expr", "parse_expr",
     "Grid", "bisect_increasing", "default_grid", "ext_mul",
     "invert_monotone", "make_grid",
     "CLASS1", "CLASS2", "CLASS3", "NOT_QH", "ClassificationReport",

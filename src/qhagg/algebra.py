@@ -141,14 +141,14 @@ def unit_function_from_expr(text: str, *, increasing: bool = False,
     violations and violations of any declared flag are rejected with a
     witness point. Expression functions carry no closed-form inverse.
     """
-    tree = exprparse.parse_expr(text)
+    expr = exprparse.parse_expr(text)
     g = grid or default_grid()
-    values = np.asarray(exprparse.eval_expr(tree, g.points), dtype=float)
+    values = np.asarray(exprparse.eval_expr(expr, g.points), dtype=float)
     _check_samples(f"expression {text!r}", values, g.points,
                    increasing=increasing, strictly=strictly_increasing,
                    bijection=continuous_bijection)
     return UnitFunction(
-        evaluator=lambda x, t=tree: exprparse.eval_expr(t, x),
+        evaluator=lambda x, e=expr: exprparse.eval_expr(e, x),
         increasing=increasing or continuous_bijection,
         strictly_increasing=strictly_increasing or continuous_bijection,
         continuous_bijection=continuous_bijection,

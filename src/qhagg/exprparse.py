@@ -10,42 +10,24 @@ Grammar (whitespace insignificant, ``^`` right-associative)::
 Numbers are plain decimal literals (no scientific notation, no sign; the
 sign lives in unary negation). The parser enforces nothing about the
 codomain: range policy belongs to the unit-function constructors, not here.
+
+Parsing builds the evaluator directly: each grammar rule returns a closure
+(a constant, ``x``, a negation or a binary operator over its operands), so
+a parsed expression is its evaluator, built once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal
+from typing import Callable
 
 import numpy as np
 
 from .errors import EvalError, ParseError
 from .numerics import elementwise
 
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = Num | Var | Neg | BinOp
+#: a parsed expression: its evaluator, a function of a float array (or 0-d
+#: array) that returns a float or an array; call it through ``eval_expr``
+Expr = Callable
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -125,31 +107,32 @@ class _Parser:
         e = self.term()
         while self._peek()[0] in ("+", "-"):
             op = self._advance()[0]
-            e = BinOp(op, e, self.term())
+            e = _binary(op, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self._peek()[0] in ("*", "/"):
             op = self._advance()[0]
-            e = BinOp(op, e, self.factor())
+            e = _binary(op, e, self.factor())
         return e
 
     def factor(self) -> Expr:
         base = self.atom()
         if self._peek()[0] == "^":
             self._advance()
-            return BinOp("^", base, self.factor())
+            return _binary("^", base, self.factor())
         return base
 
     def atom(self) -> Expr:
         kind, text, off = self._peek()
         if kind == "num":
             self._advance()
-            return Num(float(text))
+            value = float(text)
+            return lambda x: value
         if kind == "x":
             self._advance()
-            return Var()
+            return lambda x: x
         if kind == "(":
             self._advance()
             e = self.expr()
@@ -159,12 +142,14 @@ class _Parser:
             return e
         if kind == "-":
             self._advance()
-            return Neg(self.atom())
+            operand = self.atom()
+            return lambda x: -operand(x)
         self._fail("a number, 'x', '(' or '-'")
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse ``text`` into an expression tree.
+    """Parse ``text`` into its evaluator, built once; evaluate it with
+    ``eval_expr``.
 
     Raises ParseError (with a 0-based offset) on lexical errors, syntax
     errors and trailing garbage, and on text that is not a string.
@@ -186,35 +171,29 @@ def eval_expr(e: Expr, x):
     fractional power, and on non-finite results, overflow included.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(_eval(e, np.asarray(x, dtype=float)), dtype=float)
+        out = np.asarray(e(np.asarray(x, dtype=float)), dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvalError("expression evaluated to a non-finite value")
     return elementwise(out, x)
 
 
-def _eval(e: Expr, x):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -_eval(e.operand, x)
-    left = _eval(e.left, x)
-    right = _eval(e.right, x)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if e.op == "/":
-        if np.any(np.asarray(right) == 0.0):
-            bad_x = _first_where(np.asarray(right) == 0.0, x)
-            raise EvalError(f"division by zero (at x={bad_x!r})")
-        return left / right
-    if e.op == "^":
-        base = np.asarray(left, dtype=float)
-        expo = np.asarray(right, dtype=float)
+def _binary(op: str, left: Expr, right: Expr) -> Expr:
+    def apply(x):
+        left_v = left(x)
+        right_v = right(x)
+        if op == "+":
+            return left_v + right_v
+        if op == "-":
+            return left_v - right_v
+        if op == "*":
+            return left_v * right_v
+        if op == "/":
+            if np.any(np.asarray(right_v) == 0.0):
+                bad_x = _first_where(np.asarray(right_v) == 0.0, x)
+                raise EvalError(f"division by zero (at x={bad_x!r})")
+            return left_v / right_v
+        base = np.asarray(left_v, dtype=float)
+        expo = np.asarray(right_v, dtype=float)
         frac = np.floor(expo) != expo
         if np.any((base < 0.0) & frac):
             bad_x = _first_where((base < 0.0) & frac, x)
@@ -223,7 +202,8 @@ def _eval(e: Expr, x):
             bad_x = _first_where((base == 0.0) & (expo < 0.0), x)
             raise EvalError(f"division by zero: 0 to a negative power (at x={bad_x!r})")
         return np.power(base, expo)
-    raise AssertionError(f"unknown operator {e.op!r}")
+
+    return apply
 
 
 def _first_where(mask, x):
@@ -232,38 +212,3 @@ def _first_where(mask, x):
         return float(x)
     idx = np.argwhere(mask)
     return float(np.asarray(x)[tuple(idx[0])]) if idx.size else float("nan")
-
-
-# ----------------------------------------------------------- pretty-printer
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def _format_number(v: float) -> str:
-    # positional notation only: the grammar has no scientific literals
-    return format(Decimal(repr(v)), "f")
-
-
-def format_expr(e: Expr) -> str:
-    """Render a tree to text that re-parses to an identical tree."""
-    if isinstance(e, Num):
-        return _format_number(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Neg):
-        inner = format_expr(e.operand)
-        if isinstance(e.operand, BinOp):
-            inner = f"({inner})"
-        return f"-{inner}"
-    prec = _PREC[e.op]
-    left = format_expr(e.left)
-    right = format_expr(e.right)
-    if isinstance(e.left, BinOp) and (
-        _PREC[e.left.op] < prec or (e.op == "^" and _PREC[e.left.op] == prec)
-    ):
-        left = f"({left})"
-    if isinstance(e.right, BinOp) and (
-        _PREC[e.right.op] < prec or (e.op != "^" and _PREC[e.right.op] == prec)
-    ):
-        right = f"({right})"
-    return f"{left}{e.op}{right}"

@@ -68,11 +68,6 @@ class Grid:
     def __len__(self) -> int:
         return self.n + 1
 
-    @property
-    def interior(self) -> np.ndarray:
-        """Points with 0 < x < 1."""
-        return self.points[1:-1]
-
 
 def make_grid(n: int) -> Grid:
     """Uniform grid with n+1 points; endpoints are exactly 0.0 and 1.0.

@@ -118,15 +118,14 @@ class PhiSpec:
     """A continuous increasing bijection [0, 1] -> [0, b], phi(0) = 0.
 
     ``b`` may be ``inf``; the inverse is then total on [0, inf] with
-    phi_inv(inf) = 1. ``closed_form`` records whether both directions are
-    closed-form; the checks read phi on [0, 1] alike for every spelling.
+    phi_inv(inf) = 1. The checks read phi on [0, 1] alike for every
+    spelling.
     """
 
     b: float
     evaluator: Callable
     inverse: Callable
     name: str = "phi"
-    closed_form: bool = False
 
     def __post_init__(self):
         if not self.b > 0:
@@ -151,7 +150,7 @@ class PhiSpec:
             raise ContractError(
                 f"phi must be a declared continuous bijection, got {u!r}")
         return PhiSpec(b=1.0, evaluator=u.evaluator, inverse=inverse_evaluator(u),
-                       name=u.name, closed_form=u.inverse is not None)
+                       name=u.name)
 
     @staticmethod
     def power(c: float) -> "PhiSpec":
@@ -179,8 +178,7 @@ class PhiSpec:
             return ev(np.power(np.asarray(y, dtype=float), e))
 
         return PhiSpec(b=1.0, evaluator=evaluator, inverse=inverse,
-                       name=f"({u.name})^-1" + (f"^{c:g}" if c != 1.0 else ""),
-                       closed_form=u.inverse is not None)
+                       name=f"({u.name})^-1" + (f"^{c:g}" if c != 1.0 else ""))
 
     @staticmethod
     def from_expr(text: str, *, b: float | None = None,
@@ -196,11 +194,11 @@ class PhiSpec:
         unbounded = b is not None
         if unbounded and b != float("inf"):
             raise DomainError(f"phi expression {text!r}: b must be None or inf, got {b!r}")
-        tree = parse_expr(text)
+        expr = parse_expr(text)
         g = grid or default_grid()
         pts = g.points
         sample_pts = pts[:-1] if unbounded else pts
-        vals = np.asarray(eval_expr(tree, sample_pts), dtype=float)
+        vals = np.asarray(eval_expr(expr, sample_pts), dtype=float)
         if vals[0] != 0.0:
             raise ContractError(
                 f"phi expression {text!r}: phi(0) must be 0, got {float(vals[0])!r}")
@@ -211,9 +209,9 @@ class PhiSpec:
                 f"phi expression {text!r} is not strictly increasing on ({w[0]!r}, {w[1]!r})")
 
         if unbounded:
-            def evaluator(x, t=tree):
+            def evaluator(x, e=expr):
                 x = np.asarray(x, dtype=float)
-                inner = np.asarray(eval_expr(t, np.where(x == 1.0, 0.0, x)), dtype=float)
+                inner = np.asarray(eval_expr(e, np.where(x == 1.0, 0.0, x)), dtype=float)
                 return np.where(x == 1.0, np.inf, inner)
 
             def squash(v):
@@ -226,8 +224,8 @@ class PhiSpec:
             return PhiSpec(b=float("inf"), evaluator=evaluator,
                            inverse=lambda y: bounded(squash(y)), name=text)
 
-        def evaluator(x, t=tree):
-            return np.asarray(eval_expr(t, x), dtype=float)
+        def evaluator(x, e=expr):
+            return np.asarray(eval_expr(e, x), dtype=float)
 
         return PhiSpec(b=float(vals[-1]), evaluator=evaluator,
                        inverse=inverse_evaluator(UnitFunction(evaluator)), name=text)

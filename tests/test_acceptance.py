@@ -74,8 +74,8 @@ def test_criterion_1_construction_soundness(triples_50):
     for t in triples_50[:5]:
         t_b = GeneratorTriple(f=strip_inverse(t.f), g=t.g, h=t.h)
         A = from_triple(t_b)
+        assert t_b.f.inverse is None
         phi = PhiSpec.inverse_of(t_b.f)
-        assert not phi.closed_form
         qh = check_quasi_homogeneity(A, phi, PsiSpec.power(1), grid=G50)
         assert qh.passed, qh.max_residual
 

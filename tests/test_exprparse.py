@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhagg import EvalError, ParseError, eval_expr, format_expr, make_grid, parse_expr
-from qhagg.exprparse import BinOp, Neg, Num, Var
+from qhagg import EvalError, ParseError, eval_expr, make_grid, parse_expr
 
 GRID = make_grid(100).points
 
@@ -48,9 +47,9 @@ class TestParse:
             parse_expr(".")
 
     def test_whitespace_insignificant(self):
-        a = parse_expr("2*x/(1+x)")
-        b = parse_expr("  2 * x / ( 1 + x ) ")
-        assert a == b
+        a = eval_expr(parse_expr("2*x/(1+x)"), GRID)
+        b = eval_expr(parse_expr("  2 * x / ( 1 + x ) "), GRID)
+        np.testing.assert_array_equal(a, b)
 
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError):
@@ -113,28 +112,6 @@ class TestEval:
 
 # ------------------------------------------------------- property tests
 
-_leaf = st.one_of(
-    st.builds(Num, st.floats(min_value=0.0, max_value=100.0,
-                             allow_nan=False, allow_infinity=False)),
-    st.builds(Var),
-)
-
-
-def _node(children):
-    return st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
-    )
-
-
-_trees = st.recursive(_leaf, _node, max_leaves=12)
-
-
-@given(_trees)
-@settings(max_examples=300)
-def test_format_parse_round_trip(tree):
-    assert parse_expr(format_expr(tree)) == tree
-
 
 @given(st.text(max_size=40))
 @settings(max_examples=500)
@@ -144,14 +121,3 @@ def test_parser_totality(text):
     except ParseError:
         pass
 
-
-def test_round_trip_evaluates_identically():
-    texts = ["2*x/(1+x)", "x^2", "1-2*x", "(1-2)*x", "-x^2", "x^0.5",
-             "0.3*x+0.7*(2*x/(1+x))", "x*x*x", "1/(2-x)"]
-    for text in texts:
-        tree = parse_expr(text)
-        again = parse_expr(format_expr(tree))
-        assert again == tree
-        got = eval_expr(again, GRID)
-        want = eval_expr(tree, GRID)
-        np.testing.assert_array_equal(got, want)

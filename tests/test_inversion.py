@@ -230,7 +230,6 @@ class TestBracketBound:
     ], ids=["x^2", "x^3", "x^0.5", "x/(1-x), b=inf"])
     def test_root_within_the_bracket_width(self, text, b, to_target, root):
         phi = PhiSpec.from_expr(text, b=b)
-        assert not phi.closed_form
         y = to_target(BOUND_TARGETS)
         exact = root(y)
         assert np.all(np.abs(phi.invert(y) - exact) <= 2.0 ** -44 + np.spacing(exact))

@@ -67,10 +67,6 @@ class TestMakeGrid:
         assert np.all(np.diff(g.points) > 0)
         assert len(g) == 38
 
-    def test_interior_excludes_endpoints(self):
-        g = make_grid(4)
-        np.testing.assert_array_equal(g.interior, [0.25, 0.5, 0.75])
-
 
 class TestInvertMonotone:
     def test_identity(self):

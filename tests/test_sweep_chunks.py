@@ -117,7 +117,7 @@ def test_phi_of_base_is_evaluated_once_per_sweep(monkeypatch):
     calls = []
     sq = PhiSpec.power(2.0)
     counted = PhiSpec(b=1.0, evaluator=lambda x: calls.append(np.shape(x)) or sq.evaluator(x),
-                      inverse=sq.inverse, name="x^2", closed_form=True)
+                      inverse=sq.inverse, name="x^2")
     run_chunked(monkeypatch, lambda: check_quasi_homogeneity(
         catalog_lookup("min"), counted, PsiSpec.power(1.0), grid=G), 1)
     # once, on the distinct base values: min takes the n + 1 grid values
@@ -192,8 +192,7 @@ def test_step_psi_inverts_phi_at_zero_on_one_lane(monkeypatch, psi, agg, phi_nam
         sizes.append(np.size(y))
         return phi.inverse(y)
 
-    counted = PhiSpec(b=phi.b, evaluator=phi.evaluator, inverse=inverse, name=phi.name,
-                      closed_form=phi.closed_form)
+    counted = PhiSpec(b=phi.b, evaluator=phi.evaluator, inverse=inverse, name=phi.name)
     max_res, witness = whole_cube_reference(A, phi, psi, G)
     for report in one_row_and_whole(
             monkeypatch, lambda: check_quasi_homogeneity(A, counted, psi, grid=G)):
@@ -242,8 +241,7 @@ def counted_inverse(phi, sizes):
         sizes.append(np.size(y))
         return phi.inverse(y)
 
-    return PhiSpec(b=phi.b, evaluator=phi.evaluator, inverse=inverse, name=phi.name,
-                   closed_form=phi.closed_form)
+    return PhiSpec(b=phi.b, evaluator=phi.evaluator, inverse=inverse, name=phi.name)
 
 
 def distinct_count(phi, A, g):
