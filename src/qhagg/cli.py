@@ -35,14 +35,23 @@ def _parse_triple_item(item: str) -> tuple[str, str]:
     return key, text
 
 
+#: spec flags, each with the one spec flag it qualifies
+_SPEC_FLAG_OWNER = {"alpha": "fn", "beta": "fn", "g": "fn", "h": "fn",
+                    "ux": "expr2d", "vy": "expr2d"}
+
+
 def spec_from_args(args) -> dict:
     """Normalize CLI flags into a function-spec dictionary.
 
     The same dictionaries, JSON-encoded, form the spec-file format:
     one object with a ``kind`` of catalog, triple, flat, boundary or
     expr2d (see README for the field list of each kind). The parser
-    admits exactly one of --fn, --triple, --expr2d and --spec-file.
+    admits exactly one of --fn, --triple, --expr2d and --spec-file; a
+    flag that qualifies another of them is refused.
     """
+    for key, owner in _SPEC_FLAG_OWNER.items():
+        if getattr(args, key) is not None and getattr(args, owner) is None:
+            raise QhaggError(f"--{key} applies only to --{owner}")
     if args.spec_file is not None:
         try:
             with open(args.spec_file, "r", encoding="utf-8") as fh:

@@ -55,6 +55,22 @@ class TestEval:
         res = run_cli("eval", "--x", "0", "--y", "0")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv, stray, owner", [
+        (["--triple", "f=x", "g=x", "h=x", "--alpha", "0.3"], "alpha", "fn"),
+        (["--triple", "f=x", "g=x", "h=x", "--ux", "x^2"], "ux", "expr2d"),
+        (["--expr2d", "min", "--alpha", "0.2"], "alpha", "fn"),
+        (["--expr2d", "min", "--g", "x^2"], "g", "fn"),
+        (["--fn", "flat", "--alpha", "0.2", "--beta", "0.7", "--vy", "x"], "vy", "expr2d"),
+        (["--fn", "min", "--ux", "x"], "ux", "expr2d"),
+        (["--spec-file", "unread.json", "--h", "x"], "h", "fn"),
+        (["--spec-file", "unread.json", "--ux", "x"], "ux", "expr2d"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_flag_of_another_spec_kind_is_refused(self, capsys, argv, stray, owner):
+        assert cli.main(["eval", *argv, "--x", "0.5", "--y", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --{stray} applies only to --{owner}\n"
+
 
 class TestCheck:
     def test_drastic_step1_passes(self):
