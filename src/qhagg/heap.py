@@ -17,8 +17,13 @@ fastest triple-expr pass 1-30% slower over three runs.
 4 MiB come from the heap, and up to 16 MiB of free heap top stays
 mapped. Buffers of 4 MiB and more keep a mapping of their own, which
 numpy backs with huge pages and which goes back to the kernel on free.
-The settings are process-wide; they are left alone where glibc is not
-the C library or where the environment already tunes its allocator.
+The settings are process-wide. They are left alone where glibc is not
+the C library, and each threshold is left alone where the environment
+sets it, by its ``MALLOC_*_THRESHOLD_`` variable or its
+``GLIBC_TUNABLES`` entry. Other allocator settings in the environment do
+not stop them: per mallopt(3), setting ``MALLOC_TOP_PAD_`` or
+``MALLOC_MMAP_MAX_`` also switches off glibc's dynamic mmap threshold, so
+without the settings here every slab would be a mapping of its own.
 """
 
 from __future__ import annotations
@@ -36,15 +41,25 @@ MMAP_THRESHOLD = 4 << 20
 #: free heap top kept mapped before glibc returns it to the kernel
 TRIM_THRESHOLD = 16 << 20
 
-#: environment variables through which glibc's allocator is tuned
-TUNING_ENV = ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_",
-              "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_")
+#: per threshold: mallopt parameter, value set here, and the environment
+#: variable and GLIBC_TUNABLES entry through which glibc reads it
+_THRESHOLDS = (
+    (_M_MMAP_THRESHOLD, MMAP_THRESHOLD, "MALLOC_MMAP_THRESHOLD_", "glibc.malloc.mmap_threshold"),
+    (_M_TRIM_THRESHOLD, TRIM_THRESHOLD, "MALLOC_TRIM_THRESHOLD_", "glibc.malloc.trim_threshold"),
+)
+
+#: environment variables through which glibc's two thresholds are set
+TUNING_ENV = ("GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
+
+
+def _set_by_environment(variable: str, tunable: str) -> bool:
+    entries = os.environ.get("GLIBC_TUNABLES", "").split(":")
+    return variable in os.environ or any(e.split("=", 1)[0] == tunable for e in entries)
 
 
 def keep_freed_buffers() -> bool:
-    """Set glibc's trim and mmap thresholds; True if both were set."""
-    if any(name in os.environ for name in TUNING_ENV):
-        return False
+    """Set glibc's trim and mmap thresholds, each unless the environment
+    sets it; True if both were set here."""
     try:
         if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
             return False
@@ -52,5 +67,5 @@ def keep_freed_buffers() -> bool:
     except (AttributeError, OSError, ValueError):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return bool(mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-                and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD))
+    return all([not _set_by_environment(variable, tunable) and bool(mallopt(param, value))
+                for param, value, variable, tunable in _THRESHOLDS])
