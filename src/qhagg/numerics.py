@@ -131,6 +131,11 @@ _X_TOL = 2.0 ** -44
 _REFINE_BLOCK = 1 << 14
 
 
+#: ``distinct`` reads its sorted values in blocks of this many lanes, so
+#: that no sorted copy, flag or rank array as long as the input is held
+_RANK_BLOCK = 1 << 13
+
+
 def distinct(values):
     """Sorted distinct values ``w`` of a 1-d array, and the index ``at`` of
     each entry among them: ``w[at]`` rebuilds the array, up to the sign of
@@ -139,17 +144,21 @@ def distinct(values):
     1 MiB per process.
     """
     order = np.argsort(values)
-    ys = values[order]
-    first = np.empty(ys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ys[1:], ys[:-1], out=first[1:])
-    w = ys[first]
-    del ys  # free it before the two index arrays are built
-    rank = np.cumsum(first)
-    rank -= 1
     at = np.empty(values.size, dtype=np.intp)
-    at[order] = rank
-    return w, at
+    parts = [values[:0]]
+    top, last = -1, None
+    for b in range(0, values.size, _RANK_BLOCK):
+        ys = values[order[b:b + _RANK_BLOCK]]
+        first = np.empty(ys.size, dtype=bool)
+        first[0] = b == 0 or ys[0] != last
+        np.not_equal(ys[1:], ys[:-1], out=first[1:])
+        parts.append(ys[first])
+        rank = np.cumsum(first)
+        rank += top
+        at[order[b:b + _RANK_BLOCK]] = rank
+        top, last = rank[-1], ys[-1]
+    del order  # free it before the distinct values are joined
+    return np.concatenate(parts), at
 
 
 def bisect_increasing(fn, y):
