@@ -67,5 +67,7 @@ def keep_freed_buffers() -> bool:
     except (AttributeError, OSError, ValueError):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # a list, not a generator: one threshold the environment sets must not
+    # stop the other from being set
     return all([not _set_by_environment(variable, tunable) and bool(mallopt(param, value))
                 for param, value, variable, tunable in _THRESHOLDS])
