@@ -233,10 +233,6 @@ def aggregation_from_combiner(combiner: str, u: UnitFunction, v: UnitFunction,
 # ----------------------------------------------------------------- catalog
 
 
-def _drastic(x, y):
-    return np.where((x < 1.0) & (y < 1.0), 0.0, np.minimum(x, y))
-
-
 def _harmonic_min(x, y):
     # ties go to the min branch: 2x*x/(x+x) equals x only up to rounding,
     # and exact ties keep the 101-point monotonicity check at tolerance 0
@@ -247,40 +243,20 @@ def _harmonic_min(x, y):
     return np.where(x < y, harm, y)
 
 
-def _require(params: dict, name: str, keys: tuple[str, ...]) -> None:
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise DomainError(f"catalog entry {name!r} requires params {missing}")
-    extra = [k for k in params if k not in keys]
-    if extra:
-        raise DomainError(f"catalog entry {name!r} got unknown params {extra}")
-
-
-def _build_min(params):
-    return AggregationFunction(np.minimum, provenance="min", name="min")
-
-
-def _build_max(params):
-    return AggregationFunction(np.maximum, provenance="max", name="max")
-
-
-def _build_product(params):
-    return AggregationFunction(lambda x, y: x * y, provenance="product", name="product")
+def _named(evaluator, name: str) -> AggregationFunction:
+    return AggregationFunction(evaluator, provenance=name, name=name)
 
 
 def _build_drastic(params):
-    return AggregationFunction(_drastic, provenance="drastic", name="drastic")
+    from .construct import boundary_formula
 
-
-def _build_harmonic(params):
-    return AggregationFunction(_harmonic_min, provenance="harmonic_min",
-                               name="harmonic_min")
+    ident = identity().evaluator
+    return _named(boundary_formula(ident, ident), "drastic")
 
 
 def _build_flat(params):
     from .construct import class_flat
 
-    _require(params, "flat", ("alpha", "beta"))
     try:
         alpha, beta = float(params["alpha"]), float(params["beta"])
     except (TypeError, ValueError):
@@ -292,19 +268,19 @@ def _build_flat(params):
 def _build_boundary(params):
     from .construct import class_boundary
 
-    _require(params, "boundary_only", ("g", "h"))
     g = unit_function_from_expr(params["g"], increasing=True)
     h = unit_function_from_expr(params["h"], increasing=True)
     return class_boundary(g, h)
 
 
 _CATALOG = {
-    "min": ("minimum of the two arguments", (), _build_min),
-    "max": ("maximum of the two arguments", (), _build_max),
-    "product": ("ordinary product x*y", (), _build_product),
+    "min": ("minimum of the two arguments", (), lambda params: _named(np.minimum, "min")),
+    "max": ("maximum of the two arguments", (), lambda params: _named(np.maximum, "max")),
+    "product": ("ordinary product x*y", (),
+                lambda params: _named(lambda x, y: x * y, "product")),
     "drastic": ("0 when both arguments are below 1, else min", (), _build_drastic),
     "harmonic_min": ("harmonic mean below the diagonal, min above", (),
-                     _build_harmonic),
+                     lambda params: _named(_harmonic_min, "harmonic_min")),
     "flat": ("constant 1 on (0,1]^2 with boundary constants alpha, beta",
              ("alpha", "beta"), _build_flat),
     "boundary_only": ("0 on [0,1)^2 with boundary sections g, h",
@@ -329,6 +305,10 @@ def catalog_lookup(name: str, params: dict | None = None) -> AggregationFunction
         raise DomainError(f"catalog params must be a mapping, got {params!r}")
     _, keys, builder = _CATALOG[name]
     params = dict(params or {})
-    if not keys and params:
-        raise DomainError(f"catalog entry {name!r} takes no params, got {sorted(params)}")
+    missing = [k for k in keys if k not in params]
+    if missing:
+        raise DomainError(f"catalog entry {name!r} requires params {missing}")
+    extra = [k for k in params if k not in keys]
+    if extra:
+        raise DomainError(f"catalog entry {name!r} got unknown params {extra}")
     return builder(params)

@@ -147,6 +147,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.tol is not None and not args.tol >= 0.0:
+        raise QhaggError(f"--tol must be a number >= 0, got {args.tol!r}")
     A = build_aggregation(spec_from_args(args), validate=False)
     grid = make_grid(args.grid)
     # the default tolerances live in the library

@@ -208,9 +208,14 @@ def boundary_formula(g_ev, h_ev):
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.where((x < 1.0) & (y < 1.0), 0.0,
-                       np.where(x == 1.0, g_ev(y), h_ev(x)))
-        return np.where((x == 1.0) & (y == 1.0), 1.0, out)
+        gy = np.where(y == 1.0, 1.0, g_ev(y))
+        hx = h_ev(x)
+        # h everywhere, then the x = 1 row, then the zero interior
+        out = np.empty(np.broadcast_shapes(x.shape, gy.shape, np.shape(hx)))
+        np.copyto(out, hx)
+        np.copyto(out, gy, where=x == 1.0)
+        np.copyto(out, 0.0, where=(x < 1.0) & (y < 1.0))
+        return out
 
     return evaluate
 

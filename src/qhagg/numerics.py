@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 
-INF = float("inf")
-
 #: ``bisect_increasing`` refines a lane for at most this many rounds; a lane
 #: still open then returns NaN. Bisection alone narrows a bracket to 2**-200
 #: of its width in that many rounds.

@@ -156,6 +156,21 @@ class TestCheck:
         assert res.stderr.startswith("error: grid too large")
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("mode", ["agg", "qh", "classify"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "-1e-300"])
+    def test_nan_or_negative_tol_is_a_usage_error(self, capsys, mode, tol):
+        assert cli.main(["check", "--fn", "product", "--mode", mode, "--psi", "power:c=1",
+                         "--grid", "10", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --tol must be a number >= 0, got {float(tol)!r}\n"
+
+    @pytest.mark.parametrize("tol, residual", [("0", "0.0"), ("-0.0", "0.0"), ("inf", "0.0")])
+    def test_zero_and_infinite_tol_are_accepted(self, capsys, tol, residual):
+        assert cli.main(["check", "--fn", "product", "--mode", "agg", "--grid", "10",
+                         f"--tol={tol}"]) == 0
+        assert capsys.readouterr().out.endswith(f"RESULT pass max_residual={residual}\n")
+
 
 CLASSIFY_CASES = [case[0] for case in GOLDEN if "--mode classify" in case[0]]
 
