@@ -52,7 +52,6 @@ from .numerics import (
     Grid,
     bisect_increasing,
     default_grid,
-    ext_mul,
     invert_monotone,
     make_grid,
 )
@@ -89,7 +88,7 @@ __all__ = [
     "ContractError", "DomainError", "EvalError", "ExprError", "ParseError",
     "QhaggError",
     "Expr", "eval_expr", "parse_expr",
-    "Grid", "bisect_increasing", "default_grid", "ext_mul",
+    "Grid", "bisect_increasing", "default_grid",
     "invert_monotone", "make_grid",
     "CLASS1", "CLASS2", "CLASS3", "NOT_QH", "ClassificationReport",
     "PhiSpec", "PsiSpec", "canonical_pair", "check_aggregation",

@@ -3,8 +3,10 @@ diagonal sections, and the built-in catalog.
 
 A UnitFunction carries *declared* structural flags next to its evaluator.
 Declarations are contracts, not measurements: numerical checks (module
-``verify``) establish or refute them on grids, and inversion refuses to run
-on functions not declared continuous bijections.
+``verify``) establish or refute them on grids. ``UnitFunction.invert``
+refuses a function that is not declared a continuous bijection and carries
+no closed-form inverse; ``numerics.inverse_evaluator``, which builds the
+inverses of every PhiSpec and of ``from_triple``, does not check.
 """
 
 from __future__ import annotations
@@ -268,8 +270,9 @@ def _build_flat(params):
 def _build_boundary(params):
     from .construct import class_boundary
 
-    g = unit_function_from_expr(params["g"], increasing=True)
-    h = unit_function_from_expr(params["h"], increasing=True)
+    # the expression is checked for range here, monotonicity by class_boundary
+    g = unit_function_from_expr(params["g"]).declared(increasing=True)
+    h = unit_function_from_expr(params["h"]).declared(increasing=True)
     return class_boundary(g, h)
 
 

@@ -1,12 +1,8 @@
-"""Scalar toolkit: extended-nonnegative arithmetic, unit grids, inversion.
+"""Scalar toolkit: unit grids, inversion.
 
 Every evaluator in this package is elementwise: it accepts a float or a
 numpy array and returns a value of the same shape, by the one rule of
 ``elementwise``. The helpers here follow the same convention.
-
-Extended arithmetic uses the host float infinity together with the
-convention ``0 * inf = inf * 0 = 0`` (and ``1/inf = 0``), which is what the
-codomain endpoint of an unbounded scaling bijection requires.
 """
 
 from __future__ import annotations
@@ -37,19 +33,6 @@ def elementwise(out, *inputs):
         return float(out)
     out = np.asarray(out, dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
-
-
-def ext_mul(a, b):
-    """Product on [0, inf] with ``0 * inf = 0``.
-
-    Elementwise on arrays; ordinary IEEE product except that a zero factor
-    wins against infinity.
-    """
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
-        out = a_arr * b_arr
-    return elementwise(np.where((a_arr == 0.0) | (b_arr == 0.0), 0.0, out), a, b)
 
 
 @dataclass(frozen=True)
@@ -259,25 +242,22 @@ def inverse_evaluator(f):
     """Elementwise inverse of a unit-interval function: its closed form when
     it carries one, else ``bisect_increasing`` on [0, 1].
 
-    Every numeric inverse in this package is built here. ``f`` is any object
-    with ``evaluator`` and ``inverse`` attributes (a UnitFunction).
-    ``bisect_increasing`` is looked up when the inverse is called, not when
-    it is built.
+    Every numeric inverse in this package is built here. ``f`` is a
+    UnitFunction. ``bisect_increasing`` is looked up when the inverse is
+    called, not when it is built.
     """
-    inverse = getattr(f, "inverse", None)
-    if inverse is not None:
-        return inverse
+    if f.inverse is not None:
+        return f.inverse
     return lambda y, ev=f.evaluator: bisect_increasing(ev, y)
 
 
 def invert_monotone(f, y):
     """Inverse of a unit-interval function declared a continuous bijection.
 
-    ``f`` is any object with ``evaluator``/``inverse``/``continuous_bijection``
-    attributes (a UnitFunction). A closed-form inverse is used when present;
+    ``f`` is a UnitFunction. A closed-form inverse is used when present;
     otherwise the value is located by ``bisect_increasing`` on [0, 1].
     """
-    if getattr(f, "inverse", None) is None and not getattr(f, "continuous_bijection", False):
+    if f.inverse is None and not f.continuous_bijection:
         raise ContractError(
             "invert_monotone requires a function declared continuous_bijection"
         )

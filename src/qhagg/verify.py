@@ -388,11 +388,10 @@ def check_quasi_homogeneity(A: AggregationFunction, phi: PhiSpec, psi: PsiSpec,
 
     residual(lam, x, y) = |A(lam x, lam y) - phi_inv(psi(lam) * phi(A(x, y)))|
 
-    The product uses extended arithmetic (0 * inf = 0) so unbounded phi is
-    handled. phi is read at A(x, y) clipped to [0, 1], its domain; a NaN
-    stays NaN through phi and phi_inv and is reported with its witness.
-    ``tol`` holds for every spelling of phi: a numeric inverse's roots lie
-    within 2^-44 of the true ones. Each lam row takes one of three rules:
+    phi is read at A(x, y) clipped to [0, 1], its domain; a NaN stays NaN
+    through phi and phi_inv and is reported with its witness. ``tol``
+    holds for every spelling of phi: a numeric inverse's roots lie within
+    2^-44 of the true ones. Each lam row takes one of three rules:
     a row whose multiplier psi(lam) is exactly 1 takes A(x, y) itself,
     never the round trip phi_inv(phi(A(x, y))): that identity is a contract
     of phi, checked separately, and inverting would only add noise to the

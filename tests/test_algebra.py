@@ -71,6 +71,16 @@ class TestCatalog:
         assert A(0.5, 1.0) == 0.5
         assert A(0.99, 0.99) == 0.0
 
+    @pytest.mark.parametrize("params, message", [
+        # monotonicity is checked once, by class_boundary
+        ({"g": "1-x+x^2", "h": "x"}, "class_boundary: g decreases on (0.0, 0.01)"),
+        ({"g": "x", "h": "2*x"}, "expression '2*x': value 1.02 at x=0.51 falls outside [0, 1]"),
+    ], ids=["decreasing", "out-of-range"])
+    def test_boundary_only_section_messages(self, params, message):
+        with pytest.raises(ContractError) as exc:
+            catalog_lookup("boundary_only", params)
+        assert str(exc.value) == message
+
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             catalog_lookup("owa")

@@ -275,6 +275,19 @@ class TestGrid:
         assert res.returncode == 0 and res.stdout == ""
         assert out.read_bytes() == text.encode("utf-8")
 
+    def test_a_closed_stdout_is_an_io_failure_not_a_traceback(self):
+        # the reader takes one line of a dump of several MiB and closes the
+        # pipe; a capsys stdout has no file descriptor, so this runs apart
+        proc = subprocess.Popen([sys.executable, "-m", "qhagg", "grid", "--fn", "product",
+                                 "--n", "300"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "x,y,value\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == ""
+
 
 class TestCatalogCommand:
     def test_lists_entries(self):

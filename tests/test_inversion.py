@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from qhagg import (PhiSpec, PsiSpec, UnitFunction, bisect_increasing, catalog_lookup,
-                   check_quasi_homogeneity, ext_mul, invert_monotone, make_grid,
-                   power_function, unit_function_from_expr)
+                   check_quasi_homogeneity, invert_monotone, make_grid, power_function,
+                   unit_function_from_expr)
 from qhagg.exprparse import eval_expr, parse_expr
 from qhagg.numerics import _BRACKET_TABLE, _REFINE_BLOCK, distinct
 
@@ -261,8 +261,6 @@ _EXPR_BIJECTION = unit_function_from_expr("2*x/(1+x)", continuous_bijection=True
 
 #: every public elementwise evaluator, as a function of one argument
 EVALUATORS = {
-    "ext_mul": lambda v: ext_mul(v, 2.0),
-    "ext_mul(v, v)": lambda v: ext_mul(v, v),
     "bisect_increasing": lambda v: bisect_increasing(lambda x: x * x, v),
     "invert_monotone closed form": lambda v: invert_monotone(power_function(2), v),
     "invert_monotone bisection": lambda v: invert_monotone(_BISECTED, v),

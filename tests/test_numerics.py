@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -9,39 +7,11 @@ from qhagg import (
     UnitFunction,
     bisect_increasing,
     bounded_rational,
-    ext_mul,
     identity,
     invert_monotone,
     make_grid,
     power_function,
 )
-
-INF = float("inf")
-
-
-class TestExtMul:
-    def test_zero_times_infinity_is_zero(self):
-        assert ext_mul(0.0, INF) == 0.0
-        assert ext_mul(INF, 0.0) == 0.0
-
-    def test_finite_product(self):
-        assert ext_mul(2.0, 3.0) == 6.0
-
-    def test_infinity_times_positive(self):
-        assert ext_mul(INF, 0.5) == INF
-        assert ext_mul(0.5, INF) == INF
-
-    def test_commutative_associative_exhaustive(self):
-        sample = [0.0, 0.5, 1.0, 3.0, INF]
-        for a, b in itertools.product(sample, repeat=2):
-            assert ext_mul(a, b) == ext_mul(b, a)
-        for a, b, c in itertools.product(sample, repeat=3):
-            assert ext_mul(ext_mul(a, b), c) == ext_mul(a, ext_mul(b, c))
-
-    def test_elementwise(self):
-        a = np.array([0.0, 2.0, INF])
-        b = np.array([INF, 3.0, 0.0])
-        np.testing.assert_array_equal(ext_mul(a, b), [0.0, 6.0, 0.0])
 
 
 class TestMakeGrid:
