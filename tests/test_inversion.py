@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from qhagg import (PhiSpec, PsiSpec, UnitFunction, bisect_increasing, catalog_lookup,
-                   check_quasi_homogeneity, invert_monotone, make_grid, power_function,
-                   unit_function_from_expr)
+                   check_quasi_homogeneity, diagonal, invert_monotone, make_grid,
+                   power_function, unit_function_from_expr)
 from qhagg.exprparse import eval_expr, parse_expr
 from qhagg.numerics import _BRACKET_TABLE, _REFINE_BLOCK, distinct
 
@@ -282,6 +282,8 @@ EVALUATORS = {
     "PhiSpec unbounded": PhiSpec.from_expr("x/(1-x)", b=float("inf")),
     "PhiSpec.invert unbounded": PhiSpec.from_expr("x/(1-x)", b=float("inf")).invert,
     "PhiSpec inverse_of": PhiSpec.inverse_of(power_function(2)),
+    "PhiSpec.invert inverse_of": PhiSpec.inverse_of(power_function(2)).invert,
+    "diagonal": diagonal(catalog_lookup("product")),
     "eval_expr": lambda v: eval_expr(parse_expr("x^2"), v),
 }
 

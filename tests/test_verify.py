@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ from qhagg import (
     unit_function_from_expr,
 )
 from qhagg.algebra import AggregationFunction, UnitFunction
-from qhagg.verify import ClassificationReport
+from qhagg.verify import ClassificationReport, _scaling_rhs
 
 GRID = make_grid(100)
 G50 = make_grid(50)
@@ -228,6 +230,43 @@ class TestCheckQuasiHomogeneity:
         report = check_quasi_homogeneity(catalog_lookup("harmonic_min"), phi,
                                          psi, grid=G50)
         assert not report.passed
+
+
+class TestScalingRhsRows:
+    """The row rule of the scaling law's right-hand side, on a base slab V
+    that reaches 1, where the unbounded phi = x/(1-x) is infinite."""
+
+    V = np.array([[0.0, 0.5], [0.75, 1.0]])
+    UNBOUNDED = PhiSpec.from_expr("x/(1-x)", b=float("inf"))
+
+    def rows(self, phi, psi, lams):
+        # psi(lam) * phi(V) meets 0 * inf on a zero row; the rule must
+        # neither form that product nor warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _scaling_rhs(phi, psi, self.V)(np.array(lams)[:, None, None])
+
+    def test_a_zero_row_is_phi_inv_of_zero_even_where_phi_is_infinite(self):
+        Y = self.rows(self.UNBOUNDED, PsiSpec.step_at_one(), [0.5])
+        np.testing.assert_array_equal(Y, np.zeros((1, 2, 2)))
+
+    def test_a_one_row_is_the_base_slab_itself(self):
+        Y = self.rows(self.UNBOUNDED, PsiSpec.step_at_zero(), [0.5])
+        np.testing.assert_array_equal(Y, self.V[None])
+
+    def test_an_interior_row_maps_an_infinite_phi_to_one(self):
+        # phi(0.5) = 1 and phi(0.75) = 3; halved, phi_inv gives 1/3 and 3/5
+        Y = self.rows(self.UNBOUNDED, PsiSpec.power(1), [0.5])
+        np.testing.assert_allclose(Y, [[[0.0, 1 / 3], [0.6, 1.0]]], rtol=0, atol=2.0 ** -44)
+
+    @pytest.mark.parametrize("phi", [UNBOUNDED, PhiSpec.power(2.0)], ids=["x/(1-x)", "x^2"])
+    def test_one_chunk_of_all_three_rows(self, phi):
+        lams = [0.0, 0.25, 1.0]
+        Y = self.rows(phi, PsiSpec.power(1), lams)
+        assert Y.shape == (3, 2, 2)
+        np.testing.assert_array_equal(Y[0], np.zeros((2, 2)))
+        np.testing.assert_array_equal(Y[2], self.V)
+        np.testing.assert_array_equal(Y[1], self.rows(phi, PsiSpec.power(1), [0.25])[0])
 
 
 class TestCheckMultiplicative:
