@@ -15,6 +15,7 @@ from qhagg import (
     from_triple,
     identity,
     make_grid,
+    power_function,
     unit_function_from_expr,
 )
 
@@ -156,6 +157,32 @@ class TestUnitFunctionConstruction:
         assert isinstance(u(0.5), float)
         out = u(np.array([0.0, 1.0]))
         np.testing.assert_array_equal(out, [0.0, 1.0])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestClosedFormBijections:
+    """The catalog's closed-form bijections declare all three flags, carry
+    their name, and evaluate and invert by their formulas bit for bit."""
+
+    @pytest.mark.parametrize("u, name, forward, backward", [
+        (identity(), "x", lambda x: x, lambda y: y),
+        (power_function(0.5), "x^0.5",
+         lambda x: np.power(x, 0.5), lambda y: np.power(y, 2.0)),
+        (power_function(2), "x^2",
+         lambda x: np.power(x, 2.0), lambda y: np.power(y, 0.5)),
+        (bounded_rational(), "2x/(1+x)",
+         lambda x: 2.0 * x / (1.0 + x), lambda y: y / (2.0 - y)),
+    ], ids=["identity", "power-0.5", "power-2", "bounded_rational"])
+    def test_flags_name_and_formulas(self, u, name, forward, backward):
+        assert (u.increasing, u.strictly_increasing, u.continuous_bijection) == (
+            True, True, True)
+        assert u.name == name
+        p = GRID.points
+        np.testing.assert_array_equal(_bits(u.evaluator(p)), _bits(forward(p)))
+        np.testing.assert_array_equal(_bits(u.inverse(p)), _bits(backward(p)))
 
 
 class TestCombiners:
