@@ -73,46 +73,32 @@ class UnitFunction:
         return f"UnitFunction({self.name or 'anonymous'})"
 
 
+def _bijection(evaluator, inverse, name: str) -> UnitFunction:
+    """A closed-form continuous bijection of [0, 1] with its inverse."""
+    return UnitFunction(evaluator, increasing=True, strictly_increasing=True,
+                        continuous_bijection=True, inverse=inverse, name=name)
+
+
 def identity() -> UnitFunction:
-    return UnitFunction(
-        evaluator=lambda x: np.asarray(x, dtype=float),
-        increasing=True,
-        strictly_increasing=True,
-        continuous_bijection=True,
-        inverse=lambda y: np.asarray(y, dtype=float),
-        name="x",
-    )
+    return _bijection(lambda x: np.asarray(x, dtype=float),
+                      lambda y: np.asarray(y, dtype=float), "x")
 
 
 def power_function(c: float) -> UnitFunction:
     """x^c on [0, 1]; a continuous bijection for every c > 0."""
     if not c > 0:
         raise DomainError(f"power exponent must be positive, got {c}")
-    inv_c = 1.0 / c
-    return UnitFunction(
-        evaluator=lambda x, c=c: np.power(x, c),
-        increasing=True,
-        strictly_increasing=True,
-        continuous_bijection=True,
-        inverse=lambda y, e=inv_c: np.power(y, e),
-        name=f"x^{c:g}",
-    )
+    return _bijection(lambda x, c=c: np.power(x, c),
+                      lambda y, e=1.0 / c: np.power(y, e), f"x^{c:g}")
 
 
 def bounded_rational() -> UnitFunction:
     """2x/(1+x): a continuous bijection of [0, 1] with inverse y/(2-y)."""
-    return UnitFunction(
-        evaluator=lambda x: 2.0 * x / (1.0 + x),
-        increasing=True,
-        strictly_increasing=True,
-        continuous_bijection=True,
-        inverse=lambda y: y / (2.0 - y),
-        name="2x/(1+x)",
-    )
+    return _bijection(lambda x: 2.0 * x / (1.0 + x), lambda y: y / (2.0 - y), "2x/(1+x)")
 
 
-def _check_samples(name: str, values: np.ndarray, points: np.ndarray, *,
-                   increasing: bool, strictly: bool, bijection: bool) -> None:
+def _check_samples(name: str, values: np.ndarray, points: np.ndarray,
+                   u: UnitFunction) -> None:
     w = first_witness(values, (values < 0.0) | (values > 1.0))
     if w is not None:
         raise ContractError(
@@ -120,13 +106,13 @@ def _check_samples(name: str, values: np.ndarray, points: np.ndarray, *,
             f"falls outside [0, 1]"
         )
     diffs = np.diff(values)
-    for wanted, bad, claim in ((increasing or bijection, diffs < 0.0, "increasing but decreases"),
-                               (strictly or bijection, diffs <= 0.0,
+    for wanted, bad, claim in ((u.increasing, diffs < 0.0, "increasing but decreases"),
+                               (u.strictly_increasing, diffs <= 0.0,
                                 "strictly increasing but is flat")):
         w = interval_at(points, first_witness(diffs, bad)) if wanted else None
         if w is not None:
             raise ContractError(f"{name}: declared {claim} on ({w[0]!r}, {w[1]!r})")
-    if bijection and (values[0] != 0.0 or values[-1] != 1.0):
+    if u.continuous_bijection and (values[0] != 0.0 or values[-1] != 1.0):
         raise ContractError(
             f"{name}: declared continuous_bijection but endpoints are "
             f"({float(values[0])!r}, {float(values[-1])!r}), expected (0.0, 1.0)"
@@ -141,22 +127,21 @@ def unit_function_from_expr(text: str, *, increasing: bool = False,
 
     The expression is sampled on ``grid`` (default 101 points); range
     violations and violations of any declared flag are rejected with a
-    witness point. Expression functions carry no closed-form inverse.
+    witness point. A declared bijection is also declared (strictly)
+    increasing. Expression functions carry no closed-form inverse.
     """
     expr = exprparse.parse_expr(text)
-    g = grid or default_grid()
-    values = np.asarray(exprparse.eval_expr(expr, g.points), dtype=float)
-    _check_samples(f"expression {text!r}", values, g.points,
-                   increasing=increasing, strictly=strictly_increasing,
-                   bijection=continuous_bijection)
-    return UnitFunction(
+    u = UnitFunction(
         evaluator=lambda x, e=expr: exprparse.eval_expr(e, x),
         increasing=increasing or continuous_bijection,
         strictly_increasing=strictly_increasing or continuous_bijection,
         continuous_bijection=continuous_bijection,
-        inverse=None,
         name=text,
     )
+    g = grid or default_grid()
+    _check_samples(f"expression {text!r}", np.asarray(u.evaluator(g.points), dtype=float),
+                   g.points, u)
+    return u
 
 
 # ------------------------------------------------------------- aggregation

@@ -64,8 +64,8 @@ def spec_from_args(args) -> dict:
         return spec
 
     if args.fn is not None:
-        params = {key: getattr(args, key) for key in ("alpha", "beta", "g", "h")
-                  if getattr(args, key) is not None}
+        params = {key: getattr(args, key) for key, owner in _SPEC_FLAG_OWNER.items()
+                  if owner == "fn" and getattr(args, key) is not None}
         return {"kind": "catalog", "name": args.fn, "params": params}
 
     if args.triple is not None:

@@ -125,23 +125,21 @@ def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
 
     # ratio conditions need f_inv; without bijection evidence they are
     # reported failed rather than computed on a non-invertible f
-    if f_bijective_evidence:
-        f_inv = inverse_evaluator(t.f)
-        xs = p[1:]  # (0, 1]
-        for label, u in (("h", t.h), ("g", t.g)):
-            vals = np.asarray(u.evaluator(xs), dtype=float)
-            ratio = np.asarray(f_inv(np.clip(vals, 0.0, 1.0)), dtype=float) / xs
-            rd = np.diff(ratio)
-            w = first_witness(rd, rd > tol)
-            checks.append(ConditionCheck(
-                f"f_inv({label}(x))/x nonincreasing on (0,1]", w is None, interval_at(xs, w),
-                detail="" if w is None else
-                f"ratio rises {float(ratio[w[0]])!r} -> {float(ratio[w[0] + 1])!r}"))
-    else:
-        for label in ("h", "g"):
-            checks.append(ConditionCheck(
-                f"f_inv({label}(x))/x nonincreasing on (0,1]", False, None,
-                detail="not evaluated: f is not an increasing bijection on the grid"))
+    f_inv = inverse_evaluator(t.f) if f_bijective_evidence else None
+    xs = p[1:]  # (0, 1]
+    for label, u in (("h", t.h), ("g", t.g)):
+        name = f"f_inv({label}(x))/x nonincreasing on (0,1]"
+        if f_inv is None:
+            checks.append(ConditionCheck(name, False, None, detail="not evaluated: "
+                                         "f is not an increasing bijection on the grid"))
+            continue
+        vals = np.asarray(u.evaluator(xs), dtype=float)
+        ratio = np.asarray(f_inv(np.clip(vals, 0.0, 1.0)), dtype=float) / xs
+        rd = np.diff(ratio)
+        w = first_witness(rd, rd > tol)
+        checks.append(ConditionCheck(
+            name, w is None, interval_at(xs, w), detail="" if w is None else
+            f"ratio rises {float(ratio[w[0]])!r} -> {float(ratio[w[0] + 1])!r}"))
 
     return TripleValidationReport(tuple(checks), g.n, tol)
 

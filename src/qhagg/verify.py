@@ -623,25 +623,22 @@ def recover_psi(A: AggregationFunction, phi: PhiSpec,
 
     mask = _fit_window(p)
     s = samples[mask]
+    fitted, resid = None, float("nan")
     if s.size == 0:
-        return PsiRecovery(p, samples, None, float("nan"),
-                           "grid too coarse for an interior fit", g.n)
-    if np.isnan(s).any():
-        lam = float(p[mask][np.isnan(s)][0])
-        return PsiRecovery(p, samples, None, float("nan"), f"NaN diagonal at lam={lam!r}", g.n)
-    if np.all(s == 0.0):
-        return PsiRecovery(p, samples, PsiSpec.step_at_one(), 0.0,
-                           "interior samples constant 0", g.n)
-    if np.all(s == 1.0):
-        return PsiRecovery(p, samples, PsiSpec.step_at_zero(), 0.0,
-                           "interior samples constant 1", g.n)
-    if np.any(s <= 0.0):
-        return PsiRecovery(p, samples, None, float("nan"),
-                           "mixed zero and positive interior samples", g.n)
-    c, resid, why_not = _power_fit(p[mask], s)
-    if why_not:
-        return PsiRecovery(p, samples, None, resid, why_not, g.n)
-    return PsiRecovery(p, samples, PsiSpec.power(c), resid, "power fit", g.n)
+        note = "grid too coarse for an interior fit"
+    elif np.isnan(s).any():
+        note = f"NaN diagonal at lam={float(p[mask][np.isnan(s)][0])!r}"
+    elif np.all(s == 0.0):
+        fitted, resid, note = PsiSpec.step_at_one(), 0.0, "interior samples constant 0"
+    elif np.all(s == 1.0):
+        fitted, resid, note = PsiSpec.step_at_zero(), 0.0, "interior samples constant 1"
+    elif np.any(s <= 0.0):
+        note = "mixed zero and positive interior samples"
+    else:
+        c, resid, note = _power_fit(p[mask], s)
+        if not note:
+            fitted, note = PsiSpec.power(c), "power fit"
+    return PsiRecovery(p, samples, fitted, resid, note, g.n)
 
 
 # ------------------------------------------------------- diagonal and class
