@@ -294,9 +294,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Join a value that begins with one '-' (``-1e-3``, ``-x+2*x``) to the one-value
+    option before it as ``--flag=value``; argparse would read it as an option."""
+    subs = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s: a for p in (parser, *subs.values()) for s, a in p._option_string_actions.items()}
+    out: list[str] = []
+    for tok in argv:
+        action = options.get(out[-1]) if out else None
+        if (action is not None and action.nargs is None and tok[:1] == "-"
+                and tok[1:2] not in ("", "-") and tok not in options):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(parser, sys.argv[1:] if argv is None else argv))
+    for key, value in vars(args).items():
+        if value == []:  # argparse drops the value '--' of --flag=--, leaving []
+            parser.error(f"argument --{key.replace('_', '-')}: expected one argument")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -289,6 +289,48 @@ class TestGrid:
         assert err == ""
 
 
+class TestValuesBeginningWithADash:
+    """A value that begins with '-' reaches its flag in the spaced spelling,
+    as it does in the --flag=value one."""
+
+    def test_negative_point_reaches_the_range_check(self, capsys):
+        assert cli.main(["eval", "--fn", "min", "--x", "-1e-3", "--y", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: arguments must lie in [0, 1], got (-0.001, 0.0)\n"
+
+    @pytest.mark.parametrize("tol", ["-1e-3", "-inf"])
+    def test_negative_tol_reaches_the_tol_check(self, capsys, tol):
+        assert cli.main(["check", "--fn", "product", "--mode", "agg", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --tol must be a number >= 0, got {float(tol)!r}\n"
+
+    def test_expression_with_a_leading_minus(self, capsys):
+        assert cli.main(["eval", "--expr2d", "min", "--ux", "-x+2*x",
+                         "--x", "0.5", "--y", "0.5"]) == 0
+        assert capsys.readouterr().out == "0.5\n"
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--x", ["--fn", "min", "--x=--", "--y", "0"]),
+        ("--spec-file", ["--spec-file=--", "--x", "0", "--y", "0"]),
+    ], ids=["--x=--", "--spec-file=--"])
+    def test_a_lone_double_dash_value_is_a_usage_error(self, capsys, flag, argv):
+        # argparse drops the '--' of --flag=--; the flag gets no value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected one argument" in err
+        assert "Traceback" not in err
+
+    def test_help_flag_stays_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--fn", "min", "--x", "-h"])
+        assert exc.value.code == 2
+        assert "argument --x: expected one argument" in capsys.readouterr().err
+
+
 class TestCatalogCommand:
     def test_lists_entries(self):
         res = run_cli("catalog")
