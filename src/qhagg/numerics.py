@@ -120,9 +120,9 @@ _RANK_BLOCK = 1 << 13
 def distinct(values):
     """Sorted distinct values ``w`` of a 1-d array, and the index ``at`` of
     each entry among them: ``w[at]`` rebuilds the array, up to the sign of
-    zero. Each NaN is a value of its own. Built on argsort: ``np.unique``
-    imports ``numpy.ma`` on first use, a one-off cost of about 15 ms and
-    1 MiB per process.
+    zero. Each NaN is a value of its own. Built on argsort for memory:
+    ``np.unique(values, return_inverse=True)`` peaks at 5.4 times the input,
+    this at 2.35 (the 641,601 values of product at n = 800, tracemalloc).
     """
     order = np.argsort(values)
     at = np.empty(values.size, dtype=np.intp)
