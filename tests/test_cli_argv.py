@@ -26,7 +26,8 @@ def mostly(real, junk=JUNK):
     return st.integers(0, 5).flatmap(lambda k: junk if k == 0 else real)
 
 
-def one_of(*values):
+def choice(*values):
+    """One of ``values`` five times in six, junk otherwise."""
     return mostly(st.sampled_from(values))
 
 
@@ -36,7 +37,7 @@ NUMBERS = mostly(st.floats(0.0, 1.0).map(repr), st.floats().map(repr) | JUNK)
 SIZES = mostly(st.integers(1, 8).map(str), st.integers(-2, 0).map(str) | JUNK)
 EXPRS = mostly(st.sampled_from(["x", "x^2", "2*x/(1+x)", "-x+2*x", "x/(1-x)", "0.5", "1-x"]),
                st.text("x0123456789.+-*/^() ", max_size=12) | JUNK)
-PSIS = one_of("power:c=2", "power:c=0.5", "power:c=-1", "power:c=x", "step0", "step1")
+PSIS = choice("power:c=2", "power:c=0.5", "power:c=-1", "power:c=x", "step0", "step1")
 # placeholders for paths under the test's tmp_path; no other value holds '@'
 OUT = st.sampled_from(["@out", "@dir"])
 SPEC_FILES = {
@@ -53,7 +54,7 @@ def spec(draw):
     """The pieces of one function spec, with the flags it needs."""
     kind = draw(st.sampled_from(["fn", "triple", "expr2d", "spec-file"]))
     if kind == "fn":
-        name = draw(one_of(*catalog_names()))
+        name = draw(choice(*catalog_names()))
         needs = {"flat": ["--alpha", "--beta"], "boundary_only": ["--g", "--h"]}.get(name, [])
         return [("--fn", name)] + [(f, draw(EXPRS if f in ("--g", "--h") else NUMBERS))
                                    for f in needs]
@@ -61,36 +62,36 @@ def spec(draw):
         items = [draw(mostly(EXPRS.map(lambda e, k=k: f"{k}={e}"))) for k in "fgh"]
         return [("--triple", *items)]
     if kind == "expr2d":
-        pieces = [("--expr2d", draw(one_of("min", "max", "product", "mean", "bounded_sum")))]
+        pieces = [("--expr2d", draw(choice("min", "max", "product", "mean", "bounded_sum")))]
         return pieces + [(f, draw(EXPRS)) for f in ("--ux", "--vy") if draw(st.booleans())]
-    return [("--spec-file", draw(one_of(*SPEC_FILES, "@badjson", "@missing")))]
+    return [("--spec-file", draw(choice(*SPEC_FILES, "@badjson", "@missing")))]
 
 
 def flag(name, values):
     return st.tuples(st.just(name), values)
 
 
-EXTRAS = (spec().map(lambda pieces: pieces[0]) | flag("--mode", one_of("agg", "qh", "classify"))
+EXTRAS = (spec().map(lambda pieces: pieces[0]) | flag("--mode", choice("agg", "qh", "classify"))
           | flag("--alpha", NUMBERS) | flag("--g", EXPRS) | flag("--vy", EXPRS)
           | flag("--x", NUMBERS) | flag("--tol", NUMBERS) | flag("--psi", PSIS)
-          | flag("--phi", EXPRS) | flag("--phi-b", one_of("inf"))
+          | flag("--phi", EXPRS) | flag("--phi-b", choice("inf"))
           | flag("--grid", SIZES) | flag("--n", SIZES) | flag("--out", OUT)
           | JUNK.map(lambda t: (t,)))
 
 
 @st.composite
 def argvs(draw):
-    command = draw(one_of("eval", "check", "grid", "catalog"))
+    command = draw(choice("eval", "check", "grid", "catalog"))
     pieces = [] if command == "catalog" else draw(spec())
     if command == "eval":
         pieces += [("--x", draw(NUMBERS)), ("--y", draw(NUMBERS))]
     if command == "check":
-        mode = draw(one_of("agg", "qh", "classify"))
+        mode = draw(choice("agg", "qh", "classify"))
         pieces += [("--mode", mode), ("--grid", draw(SIZES))]
         if mode == "qh":
             pieces += [("--psi", draw(PSIS))]
             pieces += [("--phi", draw(EXPRS))] if draw(st.booleans()) else []
-            pieces += [("--phi-b", draw(one_of("inf")))] if draw(st.booleans()) else []
+            pieces += [("--phi-b", draw(choice("inf")))] if draw(st.booleans()) else []
         pieces += [("--tol", draw(NUMBERS))] if draw(st.booleans()) else []
     if command == "grid":
         pieces += [("--n", draw(SIZES))]
@@ -121,7 +122,7 @@ def run_main(tmp_path, argv):
     return code, err.getvalue()
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
 def test_every_argv_exits_0_1_or_2_without_a_traceback(tmp_path, argv):
