@@ -12,12 +12,15 @@ sign lives in unary negation). The parser enforces nothing about the
 codomain: range policy belongs to the unit-function constructors, not here.
 
 Parsing builds the evaluator directly: each grammar rule returns a closure
-(a constant, ``x``, a negation or a binary operator over its operands), so
-a parsed expression is its evaluator, built once.
+(a constant, ``x``, a negation or a binary operator over its operands), and
+each operator's closure is chosen when it is parsed, so a parsed expression
+is its evaluator, built once.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from typing import Callable
 
 import numpy as np
@@ -32,43 +35,22 @@ Expr = Callable
 
 # ---------------------------------------------------------------- tokenizer
 
-_OPS = set("+-*/^()")
-_DIGITS = set("0123456789")
+# after whitespace: a number (ASCII digits, at most one '.'), an operator
+# or 'x', or any other character, which is unknown
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+\.?[0-9]*|\.[0-9]*)|(?P<op>[-+*/^()x])|(?P<bad>\S))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Return (kind, text, offset) triples; kind is 'num', 'x' or the op char."""
+def _tokenize(text: str) -> list[tuple[str | None, str, int]]:
+    """(kind, text, offset) triples, kind 'num', 'x' or the op char; None ends them."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "x":
-            tokens.append(("x", "x", i))
-            i += 1
-            continue
-        if ch in _DIGITS or ch == ".":
-            j = i
-            seen_dot = False
-            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            lit = text[i:j]
-            if lit == ".":
-                raise ParseError("malformed number", i)
-            tokens.append(("num", lit, i))
-            i = j
-            continue
-        raise ParseError(f"unknown character {ch!r}", i)
-    return tokens
+    for m in _TOKEN.finditer(text):
+        kind, tok, off = m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)
+        if kind == "bad":
+            raise ParseError(f"unknown character {tok!r}", off)
+        if tok == ".":
+            raise ParseError("malformed number", off)
+        tokens.append((kind if kind == "num" else tok, tok, off))
+    return tokens + [(None, "", len(text))]
 
 
 # ------------------------------------------------------------------- parser
@@ -76,14 +58,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
     def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, "", len(self.text))
+        return self.tokens[self.pos]
 
     def _advance(self):
         tok = self._peek()
@@ -125,25 +104,22 @@ class _Parser:
         return base
 
     def atom(self) -> Expr:
-        kind, text, off = self._peek()
+        kind, text, off = self._advance()
         if kind == "num":
-            self._advance()
             value = float(text)
             return lambda x: value
         if kind == "x":
-            self._advance()
             return lambda x: x
         if kind == "(":
-            self._advance()
             e = self.expr()
             if self._peek()[0] != ")":
                 self._fail("')'")
             self._advance()
             return e
         if kind == "-":
-            self._advance()
             operand = self.atom()
             return lambda x: -operand(x)
+        self.pos -= 1  # report the token that starts no atom
         self._fail("a number, 'x', '(' or '-'")
 
 
@@ -178,37 +154,37 @@ def eval_expr(e: Expr, x):
 
 
 def _binary(op: str, left: Expr, right: Expr) -> Expr:
-    def apply(x):
-        left_v = left(x)
-        right_v = right(x)
-        if op == "+":
-            return left_v + right_v
-        if op == "-":
-            return left_v - right_v
-        if op == "*":
-            return left_v * right_v
-        if op == "/":
-            if np.any(np.asarray(right_v) == 0.0):
-                bad_x = _first_where(np.asarray(right_v) == 0.0, x)
-                raise EvalError(f"division by zero (at x={bad_x!r})")
+    """The closure of ``op`` over its operands; the left one is evaluated first."""
+    apply = {"+": operator.add, "-": operator.sub, "*": operator.mul}.get(op)
+    if apply is not None:
+        return lambda x: apply(left(x), right(x))
+    if op == "/":
+        def divide(x):
+            left_v, right_v = left(x), right(x)
+            zero = np.asarray(right_v) == 0.0
+            if np.any(zero):
+                raise EvalError(f"division by zero (at x={_first_where(zero, x)!r})")
             return left_v / right_v
-        base = np.asarray(left_v, dtype=float)
-        expo = np.asarray(right_v, dtype=float)
-        frac = np.floor(expo) != expo
-        if np.any((base < 0.0) & frac):
-            bad_x = _first_where((base < 0.0) & frac, x)
-            raise EvalError(f"negative base with fractional exponent (at x={bad_x!r})")
-        if np.any((base == 0.0) & (expo < 0.0)):
-            bad_x = _first_where((base == 0.0) & (expo < 0.0), x)
-            raise EvalError(f"division by zero: 0 to a negative power (at x={bad_x!r})")
+
+        return divide
+
+    def power(x):
+        base = np.asarray(left(x), dtype=float)
+        expo = np.asarray(right(x), dtype=float)
+        bad = (base < 0.0) & (np.floor(expo) != expo)
+        if np.any(bad):
+            raise EvalError("negative base with fractional exponent "
+                            f"(at x={_first_where(bad, x)!r})")
+        bad = (base == 0.0) & (expo < 0.0)
+        if np.any(bad):
+            raise EvalError("division by zero: 0 to a negative power "
+                            f"(at x={_first_where(bad, x)!r})")
         return np.power(base, expo)
 
-    return apply
+    return power
 
 
-def _first_where(mask, x):
-    mask = np.broadcast_to(mask, np.shape(x)) if np.shape(x) else mask
-    if np.ndim(x) == 0:
-        return float(x)
-    idx = np.argwhere(mask)
-    return float(np.asarray(x)[tuple(idx[0])]) if idx.size else float("nan")
+def _first_where(mask, x) -> float:
+    """The first ``x``, in C order, where ``mask`` (broadcast to x's shape) holds."""
+    x = np.asarray(x)
+    return float(x.flat[np.argmax(np.broadcast_to(mask, x.shape))])
