@@ -70,7 +70,8 @@ class _Parser:
         return tok
 
     def _fail(self, expected: str):
-        kind, text, off = self._peek()
+        """Refuse the token just read, which is not ``expected``."""
+        kind, text, off = self.tokens[self.pos - 1]
         if kind is None:
             raise ParseError(f"unexpected end of input, expected {expected}", off)
         raise ParseError(f"unexpected {text!r}, expected {expected}", off)
@@ -112,14 +113,12 @@ class _Parser:
             return lambda x: x
         if kind == "(":
             e = self.expr()
-            if self._peek()[0] != ")":
+            if self._advance()[0] != ")":
                 self._fail("')'")
-            self._advance()
             return e
         if kind == "-":
             operand = self.atom()
             return lambda x: -operand(x)
-        self.pos -= 1  # report the token that starts no atom
         self._fail("a number, 'x', '(' or '-'")
 
 
