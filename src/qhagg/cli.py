@@ -255,19 +255,20 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags are never abbreviated, so _attach_dash_values matches them exactly
     parser = argparse.ArgumentParser(
-        prog="qhagg",
+        prog="qhagg", allow_abbrev=False,
         description="Construct, verify and classify quasi-homogeneous "
                     "aggregation functions on the unit square.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate A(x, y)")
+    p_eval = sub.add_parser("eval", help="evaluate A(x, y)", allow_abbrev=False)
     _add_spec_flags(p_eval)
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--y", type=float, required=True)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_check = sub.add_parser("check", help="run a property check")
+    p_check = sub.add_parser("check", help="run a property check", allow_abbrev=False)
     _add_spec_flags(p_check)
     p_check.add_argument("--mode", choices=("agg", "qh", "classify"), required=True)
     p_check.add_argument("--psi", help="scaling function: power:c=<num> | step0 | step1")
@@ -281,14 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="tolerance (default 1e-9; 1e-6 for classify)")
     p_check.set_defaults(func=cmd_check)
 
-    p_grid = sub.add_parser("grid", help="dump A on a grid as CSV")
+    p_grid = sub.add_parser("grid", help="dump A on a grid as CSV", allow_abbrev=False)
     _add_spec_flags(p_grid)
     p_grid.add_argument("--n", type=int, default=100,
                         help="grid resolution (default 100)")
     p_grid.add_argument("--out", help="output path (default stdout)")
     p_grid.set_defaults(func=cmd_grid)
 
-    p_cat = sub.add_parser("catalog", help="list catalog entries")
+    p_cat = sub.add_parser("catalog", help="list catalog entries", allow_abbrev=False)
     p_cat.set_defaults(func=cmd_catalog)
 
     return parser

@@ -331,6 +331,25 @@ class TestValuesBeginningWithADash:
         assert "argument --x: expected one argument" in capsys.readouterr().err
 
 
+class TestAbbreviatedFlags:
+    """A flag has one spelling: an abbreviation is refused, whichever way its
+    value is spelled."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--to", "-1e-3"],
+        ["--to=-1e-3"],
+        ["--gr", "4", "--to", "1e-3"],
+    ], ids=["spaced", "joined", "positive"])
+    def test_abbreviation_is_an_unrecognized_argument(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--fn", "product", "--mode", "agg", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {' '.join(flags)}\n" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestCatalogCommand:
     def test_lists_entries(self):
         res = run_cli("catalog")
