@@ -105,7 +105,7 @@ class _Parser:
         return base
 
     def atom(self) -> Expr:
-        kind, text, off = self._advance()
+        kind, text, _ = self._advance()
         if kind == "num":
             value = float(text)
             return lambda x: value
