@@ -21,9 +21,6 @@ from .algebra import (
     UnitFunction,
     aggregation_from_combiner,
     bounded_rational,
-    catalog_describe,
-    catalog_lookup,
-    catalog_names,
     diagonal,
     identity,
     power_function,
@@ -32,6 +29,9 @@ from .algebra import (
 from .construct import (
     GeneratorTriple,
     TripleValidationReport,
+    catalog_describe,
+    catalog_lookup,
+    catalog_names,
     class_boundary,
     class_flat,
     from_triple,

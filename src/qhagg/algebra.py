@@ -1,5 +1,5 @@
-"""Core semantic types: unit-interval functions, aggregation functions,
-diagonal sections, and the built-in catalog.
+"""Core semantic types: unit-interval functions, aggregation functions
+and diagonal sections.
 
 A UnitFunction carries *declared* structural flags next to its evaluator.
 Declarations are contracts, not measurements: numerical checks (module
@@ -12,7 +12,6 @@ inverses of every PhiSpec and of ``from_triple``, does not check.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,9 +31,6 @@ __all__ = [
     "aggregation_from_combiner",
     "COMBINERS",
     "diagonal",
-    "catalog_lookup",
-    "catalog_names",
-    "catalog_describe",
 ]
 
 
@@ -46,6 +42,7 @@ class UnitFunction:
     increasing / strictly_increasing / continuous_bijection : declared flags
         (continuous_bijection implies fixed endpoints 0 and 1)
     inverse : optional closed-form inverse evaluator
+    invert : preimage of y, by the closed-form inverse if present, else bisection
     """
 
     evaluator: Callable
@@ -58,12 +55,7 @@ class UnitFunction:
     def __call__(self, x):
         return elementwise(self.evaluator(np.asarray(x, dtype=float)), x)
 
-    def invert(self, y):
-        """Preimage under this function; requires the bijection declaration.
-
-        Uses the closed-form inverse when available, bisection otherwise.
-        """
-        return invert_monotone(self, y)
+    invert = invert_monotone
 
     def declared(self, **flags) -> "UnitFunction":
         """Copy with declaration flags re-established after external checks."""
@@ -207,6 +199,7 @@ def aggregation_from_combiner(combiner: str, u: UnitFunction, v: UnitFunction,
         name=f"{combiner}({u.name or 'u'}, {v.name or 'v'})",
     )
     if validate:
+        # verify imports this module and construct, so neither can import it at the top
         from .verify import check_aggregation
 
         report = check_aggregation(A, tol=0.0)
@@ -216,87 +209,3 @@ def aggregation_from_combiner(combiner: str, u: UnitFunction, v: UnitFunction,
                 f"{report.reason}", report=report)
     return A
 
-
-# ----------------------------------------------------------------- catalog
-
-
-def _harmonic_min(x, y):
-    # ties go to the min branch: 2x*x/(x+x) equals x only up to rounding,
-    # and exact ties keep the 101-point monotonicity check at tolerance 0
-    den = x + y
-    safe = np.where(den == 0.0, 1.0, den)
-    with np.errstate(invalid="ignore"):
-        harm = 2.0 * x * y / safe
-    return np.where(x < y, harm, y)
-
-
-def _named(evaluator, name: str) -> AggregationFunction:
-    return AggregationFunction(evaluator, provenance=name, name=name)
-
-
-def _build_drastic(params):
-    from .construct import boundary_formula
-
-    ident = identity().evaluator
-    return _named(boundary_formula(ident, ident), "drastic")
-
-
-def _build_flat(params):
-    from .construct import class_flat
-
-    try:
-        alpha, beta = float(params["alpha"]), float(params["beta"])
-    except (TypeError, ValueError):
-        raise DomainError(f"flat needs numbers alpha and beta, got "
-                          f"{params['alpha']!r} and {params['beta']!r}") from None
-    return class_flat(alpha, beta)
-
-
-def _build_boundary(params):
-    from .construct import class_boundary
-
-    # the expression is checked for range here, monotonicity by class_boundary
-    g = unit_function_from_expr(params["g"]).declared(increasing=True)
-    h = unit_function_from_expr(params["h"]).declared(increasing=True)
-    return class_boundary(g, h)
-
-
-_CATALOG = {
-    "min": ("minimum of the two arguments", (), lambda params: _named(np.minimum, "min")),
-    "max": ("maximum of the two arguments", (), lambda params: _named(np.maximum, "max")),
-    "product": ("ordinary product x*y", (),
-                lambda params: _named(lambda x, y: x * y, "product")),
-    "drastic": ("0 when both arguments are below 1, else min", (), _build_drastic),
-    "harmonic_min": ("harmonic mean below the diagonal, min above", (),
-                     lambda params: _named(_harmonic_min, "harmonic_min")),
-    "flat": ("constant 1 on (0,1]^2 with boundary constants alpha, beta",
-             ("alpha", "beta"), _build_flat),
-    "boundary_only": ("0 on [0,1)^2 with boundary sections g, h",
-                      ("g", "h"), _build_boundary),
-}
-
-
-def catalog_names() -> list[str]:
-    return list(_CATALOG)
-
-
-def catalog_describe() -> list[tuple[str, str, tuple[str, ...]]]:
-    """(name, description, param keys) rows in stable order."""
-    return [(name, desc, keys) for name, (desc, keys, _) in _CATALOG.items()]
-
-
-def catalog_lookup(name: str, params: dict | None = None) -> AggregationFunction:
-    """Named aggregation functions with public, CLI-facing identifiers."""
-    if not isinstance(name, str) or name not in _CATALOG:
-        raise DomainError(f"unknown catalog entry {name!r}; choose from {catalog_names()}")
-    if not isinstance(params or {}, Mapping):
-        raise DomainError(f"catalog params must be a mapping, got {params!r}")
-    _, keys, builder = _CATALOG[name]
-    params = dict(params or {})
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise DomainError(f"catalog entry {name!r} requires params {missing}")
-    extra = [k for k in params if k not in keys]
-    if extra:
-        raise DomainError(f"catalog entry {name!r} got unknown params {extra}")
-    return builder(params)

@@ -17,9 +17,8 @@ import sys
 import numpy as np
 
 from . import verify
-from .algebra import (AggregationFunction, aggregation_from_combiner,
-                      catalog_describe, catalog_lookup, unit_function_from_expr)
-from .construct import GeneratorTriple, from_triple
+from .algebra import AggregationFunction, aggregation_from_combiner, unit_function_from_expr
+from .construct import GeneratorTriple, catalog_describe, catalog_lookup, from_triple
 from .errors import QhaggError
 from .numerics import make_grid
 from .verify import PhiSpec, PsiSpec

@@ -18,15 +18,18 @@ Three construction routes:
 sections) from any aggregation function; whether that triple actually
 regenerates the function is a classification question, not a construction
 error.
+
+The built-in catalog (``catalog_lookup``) names members of all three classes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AggregationFunction, UnitFunction, diagonal
+from .algebra import AggregationFunction, UnitFunction, diagonal, identity, unit_function_from_expr
 from .errors import ContractError, DomainError
 from .numerics import Grid, default_grid, first_witness, interval_at, inverse_evaluator
 
@@ -39,6 +42,9 @@ __all__ = [
     "class_flat",
     "class_boundary",
     "triple_of",
+    "catalog_lookup",
+    "catalog_names",
+    "catalog_describe",
 ]
 
 
@@ -286,3 +292,82 @@ def triple_of(A: AggregationFunction) -> GeneratorTriple:
         g=UnitFunction(evaluator=g_eval, increasing=True, name=f"{label}(1,.)"),
         h=UnitFunction(evaluator=h_eval, increasing=True, name=f"{label}(.,1)"),
     )
+
+
+# ----------------------------------------------------------------- catalog
+
+
+def _harmonic_min(x, y):
+    # ties go to the min branch: 2x*x/(x+x) equals x only up to rounding,
+    # and exact ties keep the 101-point monotonicity check at tolerance 0
+    den = x + y
+    safe = np.where(den == 0.0, 1.0, den)
+    with np.errstate(invalid="ignore"):
+        harm = 2.0 * x * y / safe
+    return np.where(x < y, harm, y)
+
+
+def _named(evaluator, name: str) -> AggregationFunction:
+    return AggregationFunction(evaluator, provenance=name, name=name)
+
+
+def _build_drastic(params):
+    ident = identity().evaluator
+    return _named(boundary_formula(ident, ident), "drastic")
+
+
+def _build_flat(params):
+    try:
+        alpha, beta = float(params["alpha"]), float(params["beta"])
+    except (TypeError, ValueError):
+        raise DomainError(f"flat needs numbers alpha and beta, got "
+                          f"{params['alpha']!r} and {params['beta']!r}") from None
+    return class_flat(alpha, beta)
+
+
+def _build_boundary(params):
+    # the expression is checked for range here, monotonicity by class_boundary
+    g = unit_function_from_expr(params["g"]).declared(increasing=True)
+    h = unit_function_from_expr(params["h"]).declared(increasing=True)
+    return class_boundary(g, h)
+
+
+_CATALOG = {
+    "min": ("minimum of the two arguments", (), lambda params: _named(np.minimum, "min")),
+    "max": ("maximum of the two arguments", (), lambda params: _named(np.maximum, "max")),
+    "product": ("ordinary product x*y", (),
+                lambda params: _named(lambda x, y: x * y, "product")),
+    "drastic": ("0 when both arguments are below 1, else min", (), _build_drastic),
+    "harmonic_min": ("harmonic mean below the diagonal, min above", (),
+                     lambda params: _named(_harmonic_min, "harmonic_min")),
+    "flat": ("constant 1 on (0,1]^2 with boundary constants alpha, beta",
+             ("alpha", "beta"), _build_flat),
+    "boundary_only": ("0 on [0,1)^2 with boundary sections g, h",
+                      ("g", "h"), _build_boundary),
+}
+
+
+def catalog_names() -> list[str]:
+    return list(_CATALOG)
+
+
+def catalog_describe() -> list[tuple[str, str, tuple[str, ...]]]:
+    """(name, description, param keys) rows in stable order."""
+    return [(name, desc, keys) for name, (desc, keys, _) in _CATALOG.items()]
+
+
+def catalog_lookup(name: str, params: dict | None = None) -> AggregationFunction:
+    """Named aggregation functions with public, CLI-facing identifiers."""
+    if not isinstance(name, str) or name not in _CATALOG:
+        raise DomainError(f"unknown catalog entry {name!r}; choose from {catalog_names()}")
+    if not isinstance(params or {}, Mapping):
+        raise DomainError(f"catalog params must be a mapping, got {params!r}")
+    _, keys, builder = _CATALOG[name]
+    params = dict(params or {})
+    missing = [k for k in keys if k not in params]
+    if missing:
+        raise DomainError(f"catalog entry {name!r} requires params {missing}")
+    extra = [k for k in params if k not in keys]
+    if extra:
+        raise DomainError(f"catalog entry {name!r} got unknown params {extra}")
+    return builder(params)

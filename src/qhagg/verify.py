@@ -234,17 +234,23 @@ class PhiSpec:
 # ----------------------------------------------------------------- reports
 
 
+@dataclass(frozen=True, kw_only=True)
+class _Report:
+    """Grid evidence: a witness and its reason, on a grid n at tolerance tol."""
+
+    witness: tuple | None = None
+    reason: str = ""
+    grid_n: int = 0
+    tol: float = 0.0
+
+
 @dataclass(frozen=True)
-class AggregationReport:
+class AggregationReport(_Report):
     passed: bool
     boundary_ok: bool
     monotone_ok: bool
     range_ok: bool
     max_violation: float
-    witness: tuple | None
-    reason: str
-    grid_n: int
-    tol: float
 
     def __str__(self):
         lines = [
@@ -260,14 +266,11 @@ class AggregationReport:
 
 
 @dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(_Report):
     """Max-residual sweep result; witness is the argmax point."""
 
     passed: bool
     max_residual: float
-    witness: tuple
-    grid_n: int
-    tol: float
     label: str = ""
 
     def __str__(self):
@@ -278,26 +281,19 @@ class ResidualReport:
 
 
 @dataclass(frozen=True)
-class MultiplicativeReport:
+class MultiplicativeReport(_Report):
     passed: bool
     max_residual: float
-    witness: tuple | None
-    grid_n: int
-    tol: float
 
 
 @dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(_Report):
     passed: bool
     endpoints_ok: bool
     strictly_increasing_ok: bool
     continuity_ok: bool
     max_jump: float
     max_jump_at: tuple
-    witness: tuple | None
-    reason: str
-    grid_n: int
-    tol: float
 
     def __str__(self):
         text = (
@@ -700,7 +696,7 @@ NOT_QH = "NotQuasiHomogeneous"
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Report):
     """Verdict plus recovered parameters or a counterexample witness.
 
     witness is present exactly when the verdict is NotQuasiHomogeneous; it
@@ -716,11 +712,7 @@ class ClassificationReport:
     beta: float | None = None
     g: UnitFunction | None = None
     h: UnitFunction | None = None
-    witness: tuple | None = None
-    reason: str = ""
     diagnostics: dict = field(default_factory=dict)
-    grid_n: int = 0
-    tol: float = 0.0
 
     def __post_init__(self):
         if (self.verdict == NOT_QH) != (self.witness is not None):

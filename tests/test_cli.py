@@ -433,3 +433,39 @@ class TestSpecFiles:
                          "--grid", "10"]) == 2
         assert capsys.readouterr().err == (
             "error: expression must be a string, got None (at offset 0)\n")
+
+
+PSI_GRAMMAR = "psi must be 'power:c=<num>', 'step0' or 'step1', got {!r}"
+POINT = ["--x", "0.5", "--y", "0.5"]
+CHECK_SPEC_FILE = ["check", "--mode", "agg", "--spec-file"]
+
+
+class TestUsageErrorLines:
+    """Each usage error exits 2 with one exact stderr line and no stdout; a
+    spec file, where given, is written first and its path ends the argv."""
+
+    @pytest.mark.parametrize("argv, spec, line", [
+        (["check", "--fn", "product", "--mode", "qh"], None, "--mode qh requires --psi"),
+        *[(["check", "--fn", "product", "--mode", "qh", "--psi", psi], None,
+           PSI_GRAMMAR.format(psi)) for psi in ("power:c=abc", "power", "step2")],
+        (["eval", *POINT, "--triple", "fx", "g=x", "h=x"], None,
+         "triple items look like f=EXPR, got 'fx'"),
+        (["eval", *POINT, "--triple", "q=x", "g=x", "h=x"], None,
+         "triple items are f=..., g=..., h=..., got 'q=x'"),
+        (["eval", *POINT, "--triple", "f=", "g=x", "h=x"], None,
+         "triple items are f=..., g=..., h=..., got 'f='"),
+        (["eval", *POINT, "--triple", "f=x", "g=x", "g=x"], None,
+         "--triple is missing ['h']"),
+        (CHECK_SPEC_FILE, "[]", "spec file must be a JSON object with a 'kind' field"),
+        (CHECK_SPEC_FILE, "{}", "spec file must be a JSON object with a 'kind' field"),
+        (CHECK_SPEC_FILE, '{"kind": "nope"}', "unknown function-spec kind 'nope'"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_one_error_line(self, tmp_path, capsys, argv, spec, line):
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(spec)
+            argv = [*argv, str(path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"

@@ -15,7 +15,9 @@ from qhagg import (
     check_multiplicative,
     check_quasi_homogeneity,
     classify,
+    identity,
     make_grid,
+    power_function,
     recover_psi,
 )
 from qhagg.algebra import AggregationFunction
@@ -101,3 +103,22 @@ class TestLoadGridCsv:
         path.write_text("x,y,value\n0.0,0.0,0.0\n0.0,1.0\n")
         with pytest.raises(QhaggError, match="line 3"):
             load_grid_csv(str(path))
+
+    def test_unexpected_header(self, tmp_path):
+        path = tmp_path / "abc.csv"
+        path.write_text("a,b,c\n0.0,0.0,0.0\n")
+        with pytest.raises(QhaggError) as info:
+            load_grid_csv(str(path))
+        assert type(info.value) is QhaggError
+        assert str(info.value) == f"unexpected CSV header 'a,b,c' in {path}"
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: power_function(0), "power exponent must be positive, got 0"),
+    (lambda: PhiSpec.inverse_of(identity(), 0), "exponent must be positive, got 0"),
+    (lambda: PhiSpec.from_expr("x", b=2.0), "phi expression 'x': b must be None or inf, got 2.0"),
+], ids=["power_function(0)", "inverse_of(identity(), 0)", "from_expr('x', b=2.0)"])
+def test_out_of_domain_parameter_is_a_domain_error(call, text):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == text

@@ -645,3 +645,42 @@ class TestFiniteNonUnitEndpoint:
         rec = recover_psi(catalog_lookup("harmonic_min"), phi, grid=GRID)
         assert rec.fitted is not None and rec.fitted.kind == "power"
         assert rec.fitted.c == pytest.approx(1.0, abs=1e-9)
+
+
+def classified(A, verdict):
+    """A call of ``classify`` on A that must reach ``verdict``."""
+    def call(**kw):
+        report = classify(A, **kw)
+        assert report.verdict == verdict, str(report)
+        return report
+    return call
+
+
+#: each public check, a call of it on a fixed input, and its default tol
+RECORDING = {
+    "check_aggregation": (lambda **kw: check_aggregation(catalog_lookup("min"), **kw), 1e-9),
+    "check_quasi_homogeneity": (lambda **kw: check_quasi_homogeneity(
+        catalog_lookup("product"), PhiSpec.identity(), PsiSpec.power(2.0), **kw), 1e-9),
+    "check_multiplicative": (lambda **kw: check_multiplicative(PsiSpec.power(2.0), **kw), 1e-12),
+    "check_homogeneous_order": (lambda **kw: check_homogeneous_order(
+        catalog_lookup("min"), 1.0, **kw), 1e-6),
+    "diagonal_bijection_check": (lambda **kw: diagonal_bijection_check(identity(), **kw), 1e-9),
+    "classify Class1": (classified(catalog_lookup("product"), CLASS1), 1e-6),
+    "classify Class2": (classified(class_flat(0.2, 0.7), CLASS2), 1e-6),
+    "classify Class3": (classified(catalog_lookup("drastic"), CLASS3), 1e-6),
+    "classify not an aggregation function": (classified(aggregation_from_combiner(
+        "product", unit_function_from_expr("1-x"), identity(), validate=False), NOT_QH), 1e-6),
+    "classify diagonal refuted": (classified(bounded_sum_function(), NOT_QH), 1e-6),
+    "classify scaling law refuted": (classified(aggregation_from_combiner(
+        "product", unit_function_from_expr("x+0.1*x^2*(1-x)"), identity()), NOT_QH), 1e-6),
+}
+
+
+@pytest.mark.parametrize("n, tol", [(None, None), (12, 1e-5)],
+                         ids=["default grid and tol", "n=12 tol=1e-5"])
+@pytest.mark.parametrize("name", RECORDING)
+def test_report_records_its_grid_and_tol(name, n, tol):
+    call, default_tol = RECORDING[name]
+    report = call(**({} if n is None else {"grid": make_grid(n)}),
+                  **({} if tol is None else {"tol": tol}))
+    assert (report.grid_n, report.tol) == (n or 100, default_tol if tol is None else tol)
