@@ -22,8 +22,21 @@ from qhagg import (
     unit_function_from_expr,
     validate_triple,
 )
+from qhagg.algebra import UnitFunction
 
 GRID = make_grid(100)
+
+
+def nan_at_half(x):
+    x = np.asarray(x, float)
+    return np.where(x == 0.5, np.nan, x)
+
+
+#: sections that fail on the default grid: NaN at 0.5, and the V 2|x - 0.5|
+NAN_SECTION = UnitFunction(evaluator=nan_at_half, increasing=True, name="nan@0.5")
+V_SECTION = UnitFunction(evaluator=lambda x: 2.0 * np.abs(np.asarray(x, float) - 0.5),
+                         name="2|x-0.5|")
+NOT_EVALUATED = "FAIL (not evaluated: f is not an increasing bijection on the grid)"
 
 
 def harmonic_triple():
@@ -64,6 +77,24 @@ class TestValidateTriple:
     def test_report_renders(self):
         text = str(validate_triple(harmonic_triple(), grid=make_grid(10)))
         assert "valid" in text
+
+    @pytest.mark.parametrize("f, g, h, failures", [
+        (identity(), identity(), V_SECTION, [
+            "h increasing: FAIL witness=(0.0, 0.01)",
+            "f_inv(h(x))/x nonincreasing on (0,1]: FAIL witness=(0.5, 0.51) "
+            "(ratio rises 0.0 -> 0.03921568627450984)"]),
+        (identity(), NAN_SECTION, identity(), [
+            "g increasing: FAIL witness=(0.49, 0.5)",
+            "f_inv(g(x))/x nonincreasing on (0,1]: FAIL witness=(0.49, 0.5) "
+            "(ratio rises 1.0 -> nan)"]),
+        (NAN_SECTION, identity(), identity(), [
+            "f strictly increasing: FAIL witness=(0.49, 0.5)",
+            f"f_inv(h(x))/x nonincreasing on (0,1]: {NOT_EVALUATED}",
+            f"f_inv(g(x))/x nonincreasing on (0,1]: {NOT_EVALUATED}"]),
+    ], ids=["h-V", "g-NaN", "f-NaN"])
+    def test_failure_texts_on_the_default_grid(self, f, g, h, failures):
+        report = validate_triple(GeneratorTriple(f=f, g=g, h=h))
+        assert [str(c) for c in report.failures] == failures
 
 
 class TestFromTriple:
@@ -161,6 +192,15 @@ class TestClassBoundary:
                            identity())
         with pytest.raises(ContractError):
             class_boundary(unit_function_from_expr("x^2"), identity())
+
+    @pytest.mark.parametrize("g, message", [
+        (NAN_SECTION, "class_boundary: g decreases on (0.49, 0.5)"),
+        (V_SECTION.declared(increasing=True), "class_boundary: g decreases on (0.0, 0.01)"),
+    ], ids=["NaN", "V"])
+    def test_decrease_message_on_the_default_grid(self, g, message):
+        with pytest.raises(ContractError) as exc:
+            class_boundary(g, identity())
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("phi", [PhiSpec.identity(), PhiSpec.power(2),
                                      PhiSpec.from_unit_function(bounded_rational())])

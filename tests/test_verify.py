@@ -136,6 +136,13 @@ class TestPhiSpec:
         with pytest.raises(ContractError):
             PhiSpec.inverse_of(undeclared)
 
+    @pytest.mark.parametrize("b", [None, float("inf")], ids=["bounded", "b=inf"])
+    def test_flat_expression_message_on_the_default_grid(self, b):
+        with pytest.raises(ContractError) as exc:
+            PhiSpec.from_expr("x*(1-x)", b=b)
+        assert str(exc.value) == (
+            "phi expression 'x*(1-x)' is not strictly increasing on (0.5, 0.51)")
+
     def test_expression_validation(self):
         with pytest.raises(ContractError):
             PhiSpec.from_expr("x*(1-x)")  # not injective
@@ -428,7 +435,11 @@ class TestDiagonalBijectionCheck:
          "endpoints=ok, strict increase=ok, continuity heuristic=FAIL "
          "(max jump 0.525 on (0.45, 0.5))",
          "diagonal jumps beyond the continuity heuristic: delta(0.45)=0.225, delta(0.5)=0.75"),
-    ], ids=["strict", "endpoints", "continuity"])
+        (lambda x: np.where(x == 0.5, np.nan, x), 100,
+         "endpoints=ok, strict increase=FAIL, continuity heuristic=FAIL "
+         "(max jump nan on (0.49, 0.5))",
+         "diagonal is not strictly increasing: delta(0.49)=0.49, delta(0.5)=nan"),
+    ], ids=["strict", "endpoints", "continuity", "NaN"])
     def test_text_of_a_refutation(self, fn, n, flags, reason):
         report = diagonal_bijection_check(UnitFunction(evaluator=fn), grid=make_grid(n))
         assert report.reason == reason
