@@ -19,7 +19,8 @@ import numpy as np
 
 from . import exprparse
 from .errors import ContractError, DomainError
-from .numerics import Grid, default_grid, elementwise, first_witness, interval_at, invert_monotone
+from .numerics import (Grid, default_grid, elementwise, first_fall, first_witness,
+                       invert_monotone)
 
 __all__ = [
     "UnitFunction",
@@ -97,11 +98,10 @@ def _check_samples(name: str, values: np.ndarray, points: np.ndarray,
             f"{name}: value {float(values[w])!r} at x={float(points[w])!r} "
             f"falls outside [0, 1]"
         )
-    diffs = np.diff(values)
-    for wanted, bad, claim in ((u.increasing, diffs < 0.0, "increasing but decreases"),
-                               (u.strictly_increasing, diffs <= 0.0,
-                                "strictly increasing but is flat")):
-        w = interval_at(points, first_witness(diffs, bad)) if wanted else None
+    for wanted, strict, claim in ((u.increasing, False, "increasing but decreases"),
+                                  (u.strictly_increasing, True,
+                                   "strictly increasing but is flat")):
+        w = first_fall(points, values, strict=strict) if wanted else None
         if w is not None:
             raise ContractError(f"{name}: declared {claim} on ({w[0]!r}, {w[1]!r})")
     if u.continuous_bijection and (values[0] != 0.0 or values[-1] != 1.0):
@@ -131,8 +131,7 @@ def unit_function_from_expr(text: str, *, increasing: bool = False,
         name=text,
     )
     g = grid or default_grid()
-    _check_samples(f"expression {text!r}", np.asarray(u.evaluator(g.points), dtype=float),
-                   g.points, u)
+    _check_samples(f"expression {text!r}", u(g.points), g.points, u)
     return u
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import AggregationFunction, UnitFunction, diagonal, identity, unit_function_from_expr
 from .errors import ContractError, DomainError
-from .numerics import Grid, default_grid, first_witness, interval_at, inverse_evaluator
+from .numerics import Grid, default_grid, distinct, first_fall, first_witness, inverse_evaluator
 
 __all__ = [
     "GeneratorTriple",
@@ -105,8 +105,9 @@ def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
     """Measure every sufficiency condition of the triple construction.
 
     Failures are data (each with a witness grid point), not exceptions.
-    The nonincreasing-ratio conditions are checked pairwise on consecutive
-    grid points of (0, 1] only: the ratio may diverge as x -> 0.
+    The nonincreasing-ratio conditions are read on (0, 1] only, as the ratio
+    may diverge as x -> 0: at consecutive grid points, then, if those hold,
+    at every ratio x/y, 0 < x <= y, at which the formula reads g and h.
     """
     g = grid or default_grid()
     p = g.points
@@ -115,37 +116,38 @@ def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
         ok = abs(float(value) - target) <= tol
         return ConditionCheck(name, ok, None if ok else (x, float(value)))
 
-    fv = np.asarray(t.f.evaluator(p), dtype=float)
-    checks = [endpoint("f(0)=0", 0.0, fv[0], 0.0), endpoint("f(1)=1", 1.0, fv[-1], 1.0)]
-    fd = np.diff(fv)
-    fw = interval_at(p, first_witness(fd, fd <= 0.0))
-    checks.append(ConditionCheck("f strictly increasing", fw is None, fw))
+    def check(name, w, detail=""):
+        return ConditionCheck(name, w is None, None if w is None else w[:2], detail)
+
+    fv = t.f(p)
+    checks = [endpoint("f(0)=0", 0.0, fv[0], 0.0), endpoint("f(1)=1", 1.0, fv[-1], 1.0),
+              check("f strictly increasing", first_fall(p, fv, strict=True))]
     f_bijective_evidence = all(c.passed for c in checks)
 
     for label, u in (("g", t.g), ("h", t.h)):
-        uv = np.asarray(u.evaluator(p), dtype=float)
+        uv = u(p)
         checks.append(endpoint(f"{label}(1)=1", 1.0, uv[-1], 1.0))
-        ud = np.diff(uv)
-        uw = interval_at(p, first_witness(ud, ud < -tol))
-        checks.append(ConditionCheck(f"{label} increasing", uw is None, uw))
+        checks.append(check(f"{label} increasing", first_fall(p, uv, tol=tol)))
 
     # ratio conditions need f_inv; without bijection evidence they are
     # reported failed rather than computed on a non-invertible f
     f_inv = inverse_evaluator(t.f) if f_bijective_evidence else None
     xs = p[1:]  # (0, 1]
+    ts = distinct((xs[:, None] / xs)[np.triu_indices(xs.size)])[0]  # x/y, 0 < x <= y
+
+    def rise(u, ts):
+        # a rise of the ratio is a fall of its negation, which is exact
+        ratio = np.asarray(f_inv(np.clip(u(ts), 0.0, 1.0)), dtype=float) / ts
+        return first_fall(ts, -ratio, tol=tol)
+
     for label, u in (("h", t.h), ("g", t.g)):
         name = f"f_inv({label}(x))/x nonincreasing on (0,1]"
         if f_inv is None:
             checks.append(ConditionCheck(name, False, None, detail="not evaluated: "
                                          "f is not an increasing bijection on the grid"))
             continue
-        vals = np.asarray(u.evaluator(xs), dtype=float)
-        ratio = np.asarray(f_inv(np.clip(vals, 0.0, 1.0)), dtype=float) / xs
-        rd = np.diff(ratio)
-        w = first_witness(rd, rd > tol)
-        checks.append(ConditionCheck(
-            name, w is None, interval_at(xs, w), detail="" if w is None else
-            f"ratio rises {float(ratio[w[0]])!r} -> {float(ratio[w[0] + 1])!r}"))
+        w = rise(u, xs) or rise(u, ts)
+        checks.append(check(name, w, "" if w is None else f"ratio rises {-w[2]!r} -> {-w[3]!r}"))
 
     return TripleValidationReport(tuple(checks), g.n, tol)
 
@@ -250,12 +252,11 @@ def class_boundary(g: UnitFunction, h: UnitFunction,
         raise ContractError("class_boundary requires g and h declared increasing")
     gd = grid or default_grid()
     for label, u in (("g", g), ("h", h)):
-        vals = np.asarray(u.evaluator(gd.points), dtype=float)
+        vals = u(gd.points)
         end = float(vals[-1])
         if abs(end - 1.0) > 1e-12:
             raise ContractError(f"class_boundary requires {label}(1)=1, got {end!r}")
-        d = np.diff(vals)
-        w = interval_at(gd.points, first_witness(d, d < 0.0))
+        w = first_fall(gd.points, vals)
         if w is not None:
             raise ContractError(f"class_boundary: {label} decreases on ({w[0]!r}, {w[1]!r})")
         if first_witness(vals, (vals < 0.0) | (vals > 1.0)) is not None:

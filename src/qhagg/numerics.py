@@ -1,8 +1,9 @@
-"""Scalar toolkit: unit grids, inversion.
+"""Scalar toolkit: unit grids, increase checks, inversion.
 
 Every evaluator in this package is elementwise: it accepts a float or a
 numpy array and returns a value of the same shape, by the one rule of
-``elementwise``. The helpers here follow the same convention.
+``elementwise``, which the helpers here follow too. Each one-variable
+section is sampled by that rule and checked for increase by ``first_fall``.
 """
 
 from __future__ import annotations
@@ -83,9 +84,13 @@ def first_witness(values, violation) -> tuple[int, ...] | None:
     return tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
-def interval_at(points, w) -> tuple[float, float] | None:
-    """Grid interval (points[i], points[i+1]) of a first_witness index into np.diff."""
-    return None if w is None else (float(points[w[0]]), float(points[w[0] + 1]))
+def first_fall(points, values, *, strict=False, tol=0.0) -> tuple[float, ...] | None:
+    """First step ``(x_i, x_i+1, v_i, v_i+1)`` of a sampled section that falls
+    below -tol (with ``strict``: does not rise), or None; a non-finite step fails."""
+    d = np.diff(values)
+    w = first_witness(d, d <= 0.0 if strict else d < -tol)
+    return None if w is None else (float(points[w[0]]), float(points[w[0] + 1]),
+                                   float(values[w[0]]), float(values[w[0] + 1]))
 
 
 #: Bracket table for ``bisect_increasing`` on [0, 1]: 64 uniform steps plus

@@ -28,7 +28,7 @@ from .algebra import AggregationFunction, UnitFunction, identity, power_function
 from .construct import boundary_formula, flat_formula, triple_of
 from .errors import ContractError, DomainError
 from .exprparse import eval_expr, parse_expr
-from .numerics import (Grid, default_grid, distinct, elementwise, first_witness, interval_at,
+from .numerics import (Grid, default_grid, distinct, elementwise, first_fall, first_witness,
                        inverse_evaluator, make_grid)
 
 __all__ = [
@@ -202,8 +202,7 @@ class PhiSpec:
         if vals[0] != 0.0:
             raise ContractError(
                 f"phi expression {text!r}: phi(0) must be 0, got {float(vals[0])!r}")
-        d = np.diff(vals)
-        w = interval_at(sample_pts, first_witness(d, d <= 0.0))
+        w = first_fall(sample_pts, vals, strict=True)
         if w is not None:
             raise ContractError(
                 f"phi expression {text!r} is not strictly increasing on ({w[0]!r}, {w[1]!r})")
@@ -611,7 +610,7 @@ def recover_psi(A: AggregationFunction, phi: PhiSpec,
     """
     g = grid or default_grid()
     p = g.points
-    W = _phi_on_domain(phi, np.asarray(A.evaluator(p, p), dtype=float))
+    W = _phi_on_domain(phi, A(p, p))
     if np.isinf(phi.b):
         samples = np.where(np.isnan(W), np.nan, np.isinf(W).astype(float))
     else:
@@ -651,16 +650,16 @@ def diagonal_bijection_check(delta: UnitFunction, grid: Grid | None = None,
     enough to skip nothing here; checks always run.
     """
     g = grid or default_grid()
-    return _diagonal_report(np.asarray(delta.evaluator(g.points), dtype=float), g, tol)
+    return _diagonal_report(delta(g.points), g, tol)
 
 
 def _diagonal_report(d: np.ndarray, g: Grid, tol: float) -> DiagonalReport:
     """The check of ``diagonal_bijection_check`` on a sample d of the diagonal."""
     p = g.points
     endpoints_ok = abs(float(d[0])) <= tol and abs(float(d[-1]) - 1.0) <= tol
-    diffs = np.diff(d)
-    first_flat = first_witness(diffs, diffs <= 0.0)
+    first_flat = first_fall(p, d, strict=True)
     strict_ok = first_flat is None
+    diffs = np.diff(d)
     jmax = int(np.argmax(diffs))
     max_jump = float(diffs[jmax])
     max_jump_at = (float(p[jmax]), float(p[jmax + 1]))
@@ -668,8 +667,7 @@ def _diagonal_report(d: np.ndarray, g: Grid, tol: float) -> DiagonalReport:
 
     witness, reason = None, ""
     if not strict_ok:
-        (i,) = first_flat
-        witness = (float(p[i]), float(p[i + 1]), float(d[i]), float(d[i + 1]))
+        witness = first_flat
         why = "diagonal is not strictly increasing"
     elif not endpoints_ok:
         witness = (0.0, 1.0, float(d[0]), float(d[-1]))
@@ -741,7 +739,7 @@ class ClassificationReport(_Report):
         xs = p[_fit_window(p)]
 
         def label(u):
-            ys = np.asarray(u.evaluator(xs), dtype=float)
+            ys = u(xs)
             if xs.size and np.all(ys > 0.0):
                 c, _, why_not = _power_fit(xs, ys)
                 if not why_not:

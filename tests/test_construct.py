@@ -96,6 +96,21 @@ class TestValidateTriple:
         report = validate_triple(GeneratorTriple(f=f, g=g, h=h))
         assert [str(c) for c in report.failures] == failures
 
+    @pytest.mark.parametrize("c, n, witness", [
+        (0.9, 12, (0.08333333333333333, 0.09090909090909091)),
+        (0.95, 20, (0.05, 0.052631578947368425)),
+    ], ids=["x^0.9", "x^0.95"])
+    def test_ratio_between_consecutive_grid_points_fails(self, c, n, witness):
+        # the ratio conditions hold at consecutive grid points, but not at
+        # the ratios x/y of grid points between them, where A reads g and h
+        t = GeneratorTriple(f=power_function(c), g=bounded_rational(), h=bounded_rational())
+        grid = make_grid(n)
+        failures = validate_triple(t, grid=grid).failures
+        assert [(k.name, k.witness) for k in failures] == [
+            ("f_inv(h(x))/x nonincreasing on (0,1]", witness),
+            ("f_inv(g(x))/x nonincreasing on (0,1]", witness)]
+        assert not check_aggregation(from_triple(t, validate=False), grid=grid).passed
+
 
 class TestFromTriple:
     def test_harmonic_values(self):

@@ -13,6 +13,8 @@ the conftest families; grids are small (n in {8, 12, 20}).
   (it validates on 101 points) classifies Class 1, and its canonical pair
   re-verifies the scaling law. Triples are drawn from the conftest
   families, with power sections x^a for a in [0.05, 4].
+* Validation at the classifying grid is enough: a triple that
+  ``validate_triple`` accepts at n classifies Class 1 at that n.
 * The discontinuous classes take any phi: ``class_flat`` and
   ``class_boundary`` members meet the scaling law with their step psi for
   phi = x^c, (2x/(1+x))_inv^c or the expression x^c, c in [0.25, 4].
@@ -30,7 +32,8 @@ from hypothesis import strategies as st
 from qhagg import (CLASS1, ContractError, GeneratorTriple, PhiSpec, PsiSpec, bounded_rational,
                    canonical_pair, catalog_lookup, check_homogeneous_order,
                    check_quasi_homogeneity, class_boundary, class_flat, classify,
-                   fit_power_exponent, from_triple, identity, make_grid, power_function)
+                   fit_power_exponent, from_triple, identity, make_grid, power_function,
+                   validate_triple)
 
 MEMBERS = {name: catalog_lookup(name) for name in ("min", "max", "product", "harmonic_min")}
 MEMBERS.update((f"triple{i}", from_triple(t)) for i, t in enumerate(random_valid_triples(6)))
@@ -85,6 +88,15 @@ def test_an_accepted_triple_classifies_class1(c, g, h, n):
     assert r.verdict == CLASS1, (repr(A), n, str(r))
     qh = check_quasi_homogeneity(A, *canonical_pair(r), grid=grid, tol=1e-6)
     assert qh.passed, (repr(A), n, str(qh))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(0.5, 2.0), g=SECTIONS, h=SECTIONS, n=SIZES)
+def test_a_triple_valid_at_n_classifies_class1_at_n(c, g, h, n):
+    t, grid = GeneratorTriple(f=power_function(c), g=g, h=h), make_grid(n)
+    assume(validate_triple(t, grid=grid).ok)
+    r = classify(from_triple(t, validate=False), grid=grid)
+    assert r.verdict == CLASS1, (repr(t), n, str(r))
 
 
 PHIS = {

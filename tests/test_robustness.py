@@ -6,24 +6,30 @@ import numpy as np
 import pytest
 
 from qhagg import (
+    CLASS3,
     NOT_QH,
     DomainError,
+    GeneratorTriple,
     PhiSpec,
     PsiSpec,
     QhaggError,
     check_aggregation,
     check_multiplicative,
     check_quasi_homogeneity,
+    class_boundary,
     classify,
+    diagonal_bijection_check,
     identity,
     make_grid,
     power_function,
     recover_psi,
+    validate_triple,
 )
-from qhagg.algebra import AggregationFunction
+from qhagg.algebra import AggregationFunction, UnitFunction
 from qhagg.cli import load_grid_csv, main
 from qhagg.exprparse import eval_expr, parse_expr
 from qhagg.numerics import bisect_increasing
+from qhagg.verify import ClassificationReport
 
 G10 = make_grid(10)
 
@@ -65,6 +71,26 @@ class TestNonFiniteSamples:
         assert rec.fitted is None
         assert rec.note == "NaN diagonal at lam=0.5"
         assert np.isnan(rec.max_fit_residual) and np.isnan(rec.samples[5])
+
+
+#: sections whose evaluator returns a Python float whatever its argument
+ONE = UnitFunction(lambda x: 1.0, increasing=True, name="one")
+HALF = UnitFunction(lambda x: 0.5, name="half")
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: validate_triple(GeneratorTriple(f=identity(), g=ONE, h=ONE)).ok, "True"),
+    (lambda: class_boundary(ONE, ONE)(0.5, 1.0), "1.0"),
+    (lambda: diagonal_bijection_check(HALF).reason,
+     "diagonal is not strictly increasing: delta(0.0)=0.5, delta(0.01)=0.5"),
+    (lambda: recover_psi(AggregationFunction(lambda x, y: 0.5, "half"), PhiSpec.identity()),
+     "psi recovery: no fit (power fit residual 0.442593 above 1e-06)"),
+    (lambda: ClassificationReport(verdict=CLASS3, g=ONE, h=HALF, grid_n=10),
+     "Class3 g=(sampled) h=(sampled)"),
+], ids=["validate_triple", "class_boundary", "diagonal_bijection_check", "recover_psi",
+        "report labels"])
+def test_a_section_that_returns_a_scalar_is_sampled_as_a_constant(call, text):
+    assert str(call()) == text
 
 
 class TestOutOfRangeTarget:
