@@ -135,10 +135,10 @@ def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
     xs = p[1:]  # (0, 1]
     ts = distinct((xs[:, None] / xs)[np.triu_indices(xs.size)])[0]  # x/y, 0 < x <= y
 
-    def rise(u, ts):
+    def rise(u, at):
         # a rise of the ratio is a fall of its negation, which is exact
-        ratio = np.asarray(f_inv(np.clip(u(ts), 0.0, 1.0)), dtype=float) / ts
-        return first_fall(ts, -ratio, tol=tol)
+        ratio = np.asarray(f_inv(np.clip(u(at), 0.0, 1.0)), dtype=float) / at
+        return first_fall(at, -ratio, tol=tol)
 
     for label, u in (("h", t.h), ("g", t.g)):
         name = f"f_inv({label}(x))/x nonincreasing on (0,1]"
