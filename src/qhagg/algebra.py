@@ -6,7 +6,8 @@ Declarations are contracts, not measurements: numerical checks (module
 ``verify``) establish or refute them on grids. ``UnitFunction.invert``
 refuses a function that is not declared a continuous bijection and carries
 no closed-form inverse; ``numerics.inverse_evaluator``, which builds the
-inverses of every PhiSpec and of ``from_triple``, does not check.
+inverse of ``from_triple`` and every numeric inverse of a PhiSpec, does not
+check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import exprparse
 from .errors import ContractError, DomainError
 from .numerics import (Grid, default_grid, elementwise, first_fall, first_witness,
-                       invert_monotone)
+                       invert_monotone, pinned_inverse)
 
 __all__ = [
     "UnitFunction",
@@ -120,7 +121,9 @@ def unit_function_from_expr(text: str, *, increasing: bool = False,
     The expression is sampled on ``grid`` (default 101 points); range
     violations and violations of any declared flag are rejected with a
     witness point. A declared bijection is also declared (strictly)
-    increasing. Expression functions carry no closed-form inverse.
+    increasing, and carries the expression's closed-form inverse when it
+    has one that ``numerics.pinned_inverse`` accepts (see ``exprparse``);
+    any other is inverted by bisection.
     """
     expr = exprparse.parse_expr(text)
     u = UnitFunction(
@@ -132,6 +135,8 @@ def unit_function_from_expr(text: str, *, increasing: bool = False,
     )
     g = grid or default_grid()
     _check_samples(f"expression {text!r}", u(g.points), g.points, u)
+    if continuous_bijection and expr.inverse is not None:
+        u = dataclasses.replace(u, inverse=pinned_inverse(expr.inverse, u.evaluator))
     return u
 
 

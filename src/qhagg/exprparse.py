@@ -13,24 +13,49 @@ codomain: range policy belongs to the unit-function constructors, not here.
 
 Parsing builds the evaluator directly: each grammar rule returns a closure
 (a constant, ``x``, a negation or a binary operator over its operands), and
-each operator's closure is chosen when it is parsed, so a parsed expression
-is its evaluator, built once.
+each operator's closure is chosen when it is parsed, so a parsed expression's
+evaluator is built once.
+
+Each rule returns its inverse beside its evaluator. An expression has one
+when ``x`` occurs in it exactly once and every operation on the path from
+the root to that ``x`` has an ``x``-free other operand: ``e+c``, ``c+e``,
+``e-c``, ``c-e``, ``e*c``, ``c*e``, ``e/c``, ``c/e``, ``e^c``, ``c^e`` and
+``-e``. The inverse undoes those operations from the root down; it reads
+each ``c`` when it is called, never at parse time. A zero ``c`` in ``e*c``,
+``c*e`` or ``e^c``, and a ``c^e`` with ``c <= 0`` or ``c == 1``, give NaN.
+The inverse is a formula and holds no contract of its own: ``x*x``,
+``2*x/(1+x)`` and ``(x+x^5)/2`` have none, and where the formula picks
+another branch than the function's (``1-(x-1)^2``) only a check of its
+values shows it (``numerics.pinned_inverse`` makes that check).
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import EvalError, ParseError
 from .numerics import elementwise
 
-#: a parsed expression: its evaluator, a function of a float array (or 0-d
-#: array) that returns a float or an array; call it through ``eval_expr``
-Expr = Callable
+
+class Expr(NamedTuple):
+    """A parsed expression.
+
+    evaluator : a function of a float array (or 0-d array) that returns a
+        float or an array; call it through ``eval_expr``
+    inverse : the formula that undoes it, a function of a float array, or
+        None (see the module docstring)
+    """
+
+    evaluator: Callable
+    inverse: Callable | None
+
+
+#: the inverse slot of an operand in which ``x`` does not occur
+_CONST = object()
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -76,55 +101,59 @@ class _Parser:
             raise ParseError(f"unexpected end of input, expected {expected}", off)
         raise ParseError(f"unexpected {text!r}, expected {expected}", off)
 
+    # every rule returns (evaluator, inverse), the inverse None or _CONST
+
     def parse(self) -> Expr:
-        e = self.expr()
+        ev, inv = self.expr()
         kind, text, off = self._peek()
         if kind is not None:
             raise ParseError(f"trailing input {text!r}", off)
-        return e
+        return Expr(ev, None if inv is _CONST else inv)
 
-    def expr(self) -> Expr:
+    def expr(self):
         e = self.term()
         while self._peek()[0] in ("+", "-"):
             op = self._advance()[0]
-            e = _binary(op, e, self.term())
+            e = _node(op, e, self.term())
         return e
 
-    def term(self) -> Expr:
+    def term(self):
         e = self.factor()
         while self._peek()[0] in ("*", "/"):
             op = self._advance()[0]
-            e = _binary(op, e, self.factor())
+            e = _node(op, e, self.factor())
         return e
 
-    def factor(self) -> Expr:
+    def factor(self):
         base = self.atom()
         if self._peek()[0] == "^":
             self._advance()
-            return _binary("^", base, self.factor())
+            return _node("^", base, self.factor())
         return base
 
-    def atom(self) -> Expr:
+    def atom(self):
         kind, text, _ = self._advance()
         if kind == "num":
             value = float(text)
-            return lambda x: value
+            return (lambda x: value), _CONST
         if kind == "x":
-            return lambda x: x
+            return (lambda x: x), (lambda t: t)
         if kind == "(":
             e = self.expr()
             if self._advance()[0] != ")":
                 self._fail("')'")
             return e
         if kind == "-":
-            operand = self.atom()
-            return lambda x: -operand(x)
+            operand, inv = self.atom()
+            if inv is not None and inv is not _CONST:
+                inv = lambda t, inner=inv: inner(-t)
+            return (lambda x: -operand(x)), inv
         self._fail("a number, 'x', '(' or '-'")
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse ``text`` into its evaluator, built once; evaluate it with
-    ``eval_expr``.
+    """Parse ``text`` into its evaluator, built once, and its inverse;
+    evaluate it with ``eval_expr``.
 
     Raises ParseError (with a 0-based offset) on lexical errors, syntax
     errors and trailing garbage, and on text that is not a string.
@@ -146,13 +175,52 @@ def eval_expr(e: Expr, x):
     fractional power, and on non-finite results, overflow included.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(e(np.asarray(x, dtype=float)), dtype=float)
+        out = np.asarray(e.evaluator(np.asarray(x, dtype=float)), dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvalError("expression evaluated to a non-finite value")
     return elementwise(out, x)
 
 
-def _binary(op: str, left: Expr, right: Expr) -> Expr:
+def _nan_like(t):
+    return np.full(np.shape(t), np.nan)
+
+
+#: op -> the target of ``e`` in ``e op c``, from the node's target t and c
+_SOLVE_LEFT = {
+    "+": lambda t, c: t - c,
+    "-": lambda t, c: t + c,
+    "*": lambda t, c: t / c if c != 0.0 else _nan_like(t),
+    "/": lambda t, c: t * c,
+    "^": lambda t, c: np.power(t, 1.0 / c) if c != 0.0 else _nan_like(t),
+}
+
+#: op -> the target of ``e`` in ``c op e``
+_SOLVE_RIGHT = {
+    "+": lambda t, c: t - c,
+    "-": lambda t, c: c - t,
+    "*": lambda t, c: t / c if c != 0.0 else _nan_like(t),
+    "/": lambda t, c: c / t,
+    "^": lambda t, c: np.log(t) / np.log(c) if c > 0.0 and c != 1.0 else _nan_like(t),
+}
+
+
+def _node(op: str, left, right):
+    """The (evaluator, inverse) pair of ``left op right``."""
+    (left_ev, left_inv), (right_ev, right_inv) = left, right
+    ev = _binary(op, left_ev, right_ev)
+    if left_inv is _CONST and right_inv is _CONST:
+        return ev, _CONST
+    if right_inv is _CONST and left_inv is not None:
+        solve, inner, const = _SOLVE_LEFT[op], left_inv, right_ev
+    elif left_inv is _CONST and right_inv is not None:
+        solve, inner, const = _SOLVE_RIGHT[op], right_inv, left_ev
+    else:
+        return ev, None
+    # c is x-free, so any x reads it
+    return ev, lambda t: inner(solve(t, const(0.0)))
+
+
+def _binary(op: str, left: Callable, right: Callable) -> Callable:
     """The closure of ``op`` over its operands; the left one is evaluated first."""
     apply = {"+": operator.add, "-": operator.sub, "*": operator.mul}.get(op)
     if apply is not None:

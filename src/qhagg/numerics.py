@@ -168,33 +168,74 @@ def bisect_increasing(fn, y):
 
     Raises DomainError if some y lies outside [fn(0) - INV_TOL, fn(1) + INV_TOL].
     """
-    y_arr = np.asarray(y, dtype=float)
-    if y_arr.size == 0:
-        return y_arr.copy()
-    flat = y_arr.ravel()
+    if np.size(y) == 0:
+        return np.array(y, dtype=float)
     xs = _BRACKET_TABLE
-    fs = np.asarray(fn(xs), dtype=float)
-    f_lo, f_hi = fs[0], fs[-1]
+    fs = elementwise(fn(xs), xs)  # a constant fn is read as a constant sample
+
+    def solve(flat):
+        inner = (flat > fs[0]) & (flat < fs[-1])
+        targets, at = distinct(flat[inner])
+        xs_, fs_ = xs, fs
+        if targets.size and targets[0] < fs[1]:
+            xs_ = np.concatenate([xs[:1], _DEEP_TABLE, xs[1:]])
+            fs_ = np.concatenate([fs[:1], np.asarray(fn(_DEEP_TABLE), dtype=float), fs[1:]])
+        for b in range(0, targets.size, _REFINE_BLOCK):
+            # the targets are overwritten by their roots, block by block
+            targets[b:b + _REFINE_BLOCK] = _refine(fn, targets[b:b + _REFINE_BLOCK], xs_, fs_)
+        out = np.full(flat.shape, np.nan)
+        out[inner] = targets[at]
+        return out
+
+    return _solve_between(y, fs[0], fs[-1], solve)
+
+
+def _solve_between(y, f_lo, f_hi, solve):
+    """The contract at the ends of every inverse on [0, 1] of a nondecreasing
+    f with endpoint images f_lo = f(0) and f_hi = f(1): a target at or beyond
+    an end, within INV_TOL, is returned as that endpoint, exactly, and one
+    further out raises DomainError. ``solve`` maps the flat targets to a new
+    array that holds the root of each target strictly between the ends.
+    """
+    y_arr = np.asarray(y, dtype=float)
+    flat = y_arr.ravel()
     bad = (flat < f_lo - INV_TOL) | (flat > f_hi + INV_TOL)
     if bad.any():
         raise DomainError(
             f"target {float(flat[np.argmax(bad)])!r} is not bracketed by [0.0, 1.0] "
             "(no solution within tol)"
         )
-
-    inner = (flat > f_lo) & (flat < f_hi)
-    targets, at = distinct(flat[inner])
-    if targets.size and targets[0] < fs[1]:
-        xs = np.concatenate([xs[:1], _DEEP_TABLE, xs[1:]])
-        fs = np.concatenate([fs[:1], np.asarray(fn(_DEEP_TABLE), dtype=float), fs[1:]])
-    for b in range(0, targets.size, _REFINE_BLOCK):
-        # the targets are overwritten by their roots, block by block
-        targets[b:b + _REFINE_BLOCK] = _refine(fn, targets[b:b + _REFINE_BLOCK], xs, fs)
-    out = np.full(flat.shape, np.nan)
+    out = solve(flat)
     out[flat >= f_hi] = 1.0
     out[flat <= f_lo] = 0.0
-    out[inner] = targets[at]
     return elementwise(out.reshape(y_arr.shape), y)
+
+
+def pinned_inverse(formula, fn):
+    """``formula``, a closed-form inverse of the nondecreasing ``fn``, held to
+    the contract of ``bisect_increasing`` at the ends fn(0) and fn(1) (which
+    may be inf), its roots clipped to [0, 1]; or None unless it returns each
+    point of the bracket table from its value within 2^-44, the bound a
+    numeric root is held to. So a formula that picks another branch than
+    fn's, or gives NaN, is never used; ``fn`` is sampled where bisection
+    would sample it.
+    """
+    xs = _BRACKET_TABLE
+    fs = elementwise(fn(xs), xs)
+    f_lo, f_hi = float(fs[0]), float(fs[-1])
+
+    def solve(flat):
+        # a new array even where the formula returns its argument
+        with np.errstate(all="ignore"):
+            return np.clip(formula(flat), 0.0, 1.0)
+
+    def inverse(y):
+        return _solve_between(y, f_lo, f_hi, solve)
+
+    # a table that falls somewhere holds targets beyond the ends
+    if np.all(np.diff(fs) >= 0.0) and np.all(np.abs(inverse(fs) - xs) <= _X_TOL):
+        return inverse
+    return None
 
 
 def _refine(fn, y, xs, fs):

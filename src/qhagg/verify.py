@@ -29,7 +29,7 @@ from .construct import boundary_formula, flat_formula, triple_of
 from .errors import ContractError, DomainError
 from .exprparse import eval_expr, parse_expr
 from .numerics import (Grid, default_grid, distinct, elementwise, first_fall, first_witness,
-                       inverse_evaluator, make_grid)
+                       inverse_evaluator, make_grid, pinned_inverse)
 
 __all__ = [
     "PsiSpec",
@@ -188,7 +188,10 @@ class PhiSpec:
         The expression must satisfy phi(0) = 0 exactly and increase
         strictly. ``b`` is None or inf. With None, b is the expression's
         value at 1. With inf, the expression is read on [0, 1) and phi(1) is
-        the point at infinity; inversion works through the bounded transform
+        the point at infinity, and phi_inv(inf) = 1. The inverse is the
+        expression's closed form when it has one that
+        ``numerics.pinned_inverse`` accepts. Otherwise it is bisection,
+        which for b = inf works through the bounded transform
         t = phi/(1 + phi), applied to the function and to the target alike.
         """
         unbounded = b is not None
@@ -213,6 +216,10 @@ class PhiSpec:
                 inner = np.asarray(eval_expr(e, np.where(x == 1.0, 0.0, x)), dtype=float)
                 return np.where(x == 1.0, np.inf, inner)
 
+            closed = expr.inverse and pinned_inverse(expr.inverse, evaluator)
+            if closed:
+                return PhiSpec(b=float("inf"), evaluator=evaluator, inverse=closed, name=text)
+
             def squash(v):
                 # [0, inf] -> [0, 1], increasing, with inf -> 1
                 v = np.asarray(v, dtype=float)
@@ -226,8 +233,9 @@ class PhiSpec:
         def evaluator(x, e=expr):
             return np.asarray(eval_expr(e, x), dtype=float)
 
-        return PhiSpec(b=float(vals[-1]), evaluator=evaluator,
-                       inverse=inverse_evaluator(UnitFunction(evaluator)), name=text)
+        inverse = ((expr.inverse and pinned_inverse(expr.inverse, evaluator))
+                   or inverse_evaluator(UnitFunction(evaluator)))
+        return PhiSpec(b=float(vals[-1]), evaluator=evaluator, inverse=inverse, name=text)
 
 
 # ----------------------------------------------------------------- reports
@@ -416,7 +424,7 @@ def _scaling_rhs(phi: PhiSpec, psi: PsiSpec, V: np.ndarray):
     and 1, so a step psi never sorts them. psi is nondecreasing, so in a
     chunk the 0-rows form a prefix and the 1-rows a suffix.
     """
-    zero = np.asarray(phi.inverse(np.zeros(1)), dtype=float)
+    zero = elementwise(phi.inverse(np.zeros(1)), np.zeros(1))
 
     @functools.cache
     def phi_of_base():
@@ -431,7 +439,9 @@ def _scaling_rhs(phi: PhiSpec, psi: PsiSpec, V: np.ndarray):
             # invert before the slab is allocated, so it never coexists with
             # phi_inv's temporaries; every multiplier here lies in (0, 1), so
             # no zero meets an infinite phi
-            inv = np.asarray(phi.inverse(S[z:u, None] * w[None, :]), dtype=float)
+            T = S[z:u, None] * w[None, :]
+            inv = elementwise(phi.inverse(T), T)
+            del T
         Y = np.empty((len(S), *V.shape))
         Y[:z] = zero
         if z < u:
@@ -519,8 +529,9 @@ def check_multiplicative(psi, grid: Grid | None = None,
     """
     g = grid or default_grid()
     p = g.points
-    F = np.asarray(psi(p), dtype=float)
-    lhs = np.asarray(psi(p[:, None] * p[None, :]), dtype=float)
+    P = p[:, None] * p[None, :]
+    F = elementwise(psi(p), p)
+    lhs = elementwise(psi(P), P)
     rhs = F[:, None] * F[None, :]
     resid = np.abs(lhs - rhs)
     w = first_witness(resid, resid > tol)

@@ -20,10 +20,10 @@ from qhagg import cli
 
 GOLDEN = [
     ("--fn product --mode qh --psi power:c=4 --phi x^2 --grid 30", 0,
-     "quasi-homogeneity psi=power:c=4 phi=x^2: max residual 1.4183099139586375e-14 at "
-     "(0.5333333333333333, 0.7333333333333333, 0.9666666666666667) (grid n=30, tol=1e-09) "
+     "quasi-homogeneity psi=power:c=4 phi=x^2: max residual 1.1102230246251565e-16 at "
+     "(0.5666666666666667, 0.9666666666666667, 0.9666666666666667) (grid n=30, tol=1e-09) "
      "-> pass\n"
-     "RESULT pass max_residual=1.4183099139586375e-14\n"),
+     "RESULT pass max_residual=1.1102230246251565e-16\n"),
     # a defect of size 1e-7 in the x-section: the expression phi is held to
     # the same tolerance as the closed form x^2, so it is refuted
     ("--expr2d product --ux 'x+0.0000001*x^2*(1-x)' --mode qh --psi power:c=4 --phi x^2 "
@@ -41,14 +41,14 @@ GOLDEN = [
      "RESULT pass max_residual=0.25\n"),
     # (1/12)^400 is exactly 0: the lowest lam rows have multiplier 0
     ("--fn product --mode qh --psi power:c=400 --phi x^2 --grid 12", 1,
-     "quasi-homogeneity psi=power:c=400 phi=x^2: max residual 0.8402777500900299 at "
+     "quasi-homogeneity psi=power:c=400 phi=x^2: max residual 0.8402777500900177 at "
      "(0.9166666666666666, 1.0, 1.0) (grid n=12, tol=1e-09) -> FAIL\n"
-     "RESULT fail max_residual=0.8402777500900299\n"),
+     "RESULT fail max_residual=0.8402777500900177\n"),
     # 101^3 lanes: the sweep runs in several chunks
     ("--fn harmonic_min --mode qh --psi power:c=2 --phi x^3 --grid 100", 1,
-     "quasi-homogeneity psi=power:c=2 phi=x^3: max residual 0.14814047465571645 at "
+     "quasi-homogeneity psi=power:c=2 phi=x^3: max residual 0.1481404746557165 at "
      "(0.3, 1.0, 1.0) (grid n=100, tol=1e-09) -> FAIL\n"
-     "RESULT fail max_residual=0.14814047465571645\n"),
+     "RESULT fail max_residual=0.1481404746557165\n"),
     ("--fn harmonic_min --mode qh --psi power:c=1 --phi x/(1-x) --phi-b inf --grid 30", 1,
      "quasi-homogeneity psi=power:c=1 phi=x/(1-x): max residual 0.9666666666666667 at "
      "(0.03333333333333333, 1.0, 1.0) (grid n=30, tol=1e-09) -> FAIL\n"
@@ -94,8 +94,8 @@ GOLDEN = [
      "Class1 delta=x^2 (fitted)\n"
      "diagnostic aggregation: 0.0\n"
      "diagnostic diagonal_max_jump: 0.04937500000000006\n"
-     "diagnostic scaling_law: 1.199040866595169e-14\n"
-     "RESULT pass max_residual=1.199040866595169e-14\n"),
+     "diagnostic scaling_law: 1.1934897514720433e-14\n"
+     "RESULT pass max_residual=1.1934897514720433e-14\n"),
     ("--fn flat --alpha 0.2 --beta 0.7 --mode classify --grid 30", 0,
      "Class2 alpha=0.2 beta=0.7\n"
      "diagnostic aggregation: 0.0\n"

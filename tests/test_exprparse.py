@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhagg import EvalError, ParseError, eval_expr, make_grid, parse_expr
+from qhagg.numerics import pinned_inverse
 
 GRID = make_grid(100).points
 
@@ -121,3 +122,75 @@ def test_parser_totality(text):
     except ParseError:
         pass
 
+
+
+# ----------------------------------------------------- closed-form inverses
+
+#: ``e`` is the operand that holds x, ``c`` a constant
+FORMS = ["(e)+c", "c+(e)", "(e)-c", "c-(e)", "(e)*c", "c*(e)", "(e)/c", "-(e)", "c^(e)"]
+
+
+@st.composite
+def single_x_increasing(draw):
+    """x wrapped in one to three invertible operations with constant other
+    operands, negated at the end if it decreases; so x occurs once and the
+    expression is monotone on [0, 1]. A power or a quotient by the
+    operand is drawn only where the operand's range allows it."""
+    text = "x"
+    for _ in range(draw(st.integers(1, 3))):
+        lo = float(np.min(eval_expr(parse_expr(text), np.array([0.0, 1.0]))))
+        forms = FORMS + (["c/(e)"] if lo > 0.0 else []) + (["(e)^2", "(e)^0.5"] if lo >= 0.0
+                                                             else [])
+        c = draw(st.sampled_from(["0.5", "2", "3"]))
+        text = draw(st.sampled_from(forms)).replace("e", text).replace("c", c)
+    values = eval_expr(parse_expr(text), GRID)
+    return f"-({text})" if values[-1] < values[0] else text
+
+
+@given(single_x_increasing())
+@settings(max_examples=200, deadline=None)
+def test_inverse_returns_the_grid_points_from_their_values(text):
+    e = parse_expr(text)
+    values = eval_expr(e, GRID)
+    # a rise of 1e-4 per step keeps the rounding of the forward evaluation
+    # (at most a few ulps of values below 30) far below 1e-12 in x
+    assume(float(np.min(np.diff(values))) >= 1e-4)
+    with np.errstate(all="raise"):
+        inner = e.inverse(values[1:-1])
+    assert float(np.max(np.abs(inner - GRID[1:-1]))) <= 1e-12, text
+    # held to the contract at the ends, an accepted inverse returns all 101
+    # points, the ends exactly
+    pinned = pinned_inverse(e.inverse, e.evaluator)
+    if pinned is not None:
+        back = pinned(values)
+        assert (back[0], back[-1]) == (0.0, 1.0), text
+        assert float(np.max(np.abs(back - GRID))) <= 1e-12, text
+
+
+@pytest.mark.parametrize("text", ["x*x", "2*x/(1+x)", "x/(1-x)", "(x+x^5)/2", "0.5", "2^3"])
+def test_no_inverse_where_x_occurs_twice_or_not_at_all(text):
+    assert parse_expr(text).inverse is None
+
+
+@pytest.mark.parametrize("text, y, x", [
+    ("x+0.5", 1.0, 0.5), ("0.5+x", 1.0, 0.5), ("x-0.5", 0.0, 0.5), ("1-x", 0.25, 0.75),
+    ("x*4", 1.0, 0.25), ("4*x", 1.0, 0.25), ("x/4", 0.125, 0.5), ("1/x", 4.0, 0.25),
+    ("x^2", 0.25, 0.5), ("4^x", 2.0, 0.5), ("-x", -0.5, 0.5), ("-(-x)", 0.5, 0.5),
+    ("(x*(1+1))^(2-1)", 0.5, 0.25),
+])
+def test_each_form_inverts(text, y, x):
+    assert parse_expr(text).inverse(np.array([y]))[0] == x
+
+
+@pytest.mark.parametrize("text", ["x*0", "0*x", "x^0", "x^(1-1)", "1^x", "0^x", "(0-2)^x"])
+def test_a_constant_that_leaves_no_inverse_gives_nan(text):
+    with np.errstate(all="ignore"):
+        assert np.isnan(parse_expr(text).inverse(np.array([0.5]))).all()
+
+
+def test_parsing_evaluates_nothing():
+    e = parse_expr("x+1/0")
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_expr(e, 0.5)
+    with pytest.raises(EvalError, match="division by zero"):
+        e.inverse(np.array([0.5]))

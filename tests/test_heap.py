@@ -24,7 +24,7 @@ import qhagg
 
 uf = qhagg.unit_function_from_expr
 A = qhagg.from_triple(qhagg.GeneratorTriple(
-    f=uf("x^2", continuous_bijection=True), g=uf("x", increasing=True),
+    f=uf("x*x", continuous_bijection=True), g=uf("x", increasing=True),
     h=uf("2*x/(1+x)", increasing=True)))
 grid = qhagg.make_grid(50)
 for _ in range(2):

@@ -1,6 +1,7 @@
 """The inversion primitive ``bisect_increasing``: per-lane results, work
 counts, reported non-convergence, the bits of its roots, and the
-scalar/array return rule shared by every public evaluator.
+scalar/array return rule shared by every public evaluator; and the
+closed-form inverses of expressions, held to its contract at the ends.
 
 Work is counted in lanes passed to the inverted function, not timed, so
 these tests are deterministic.
@@ -14,9 +15,12 @@ import math
 import numpy as np
 import pytest
 
-from qhagg import (PhiSpec, PsiSpec, UnitFunction, bisect_increasing, catalog_lookup,
-                   check_quasi_homogeneity, diagonal, invert_monotone, make_grid,
-                   power_function, unit_function_from_expr)
+from conftest import strip_inverse
+
+from qhagg import (ContractError, DomainError, GeneratorTriple, PhiSpec, PsiSpec, UnitFunction,
+                   bisect_increasing, catalog_lookup, check_quasi_homogeneity, diagonal,
+                   from_triple, invert_monotone, make_grid, numerics, power_function,
+                   unit_function_from_expr)
 from qhagg.exprparse import eval_expr, parse_expr
 from qhagg.numerics import _BRACKET_TABLE, _REFINE_BLOCK, distinct
 
@@ -255,6 +259,120 @@ class TestBracketBound:
                 assert mp_phi(lo) <= target <= mp_phi(hi), (target, r)
 
 
+    @pytest.mark.parametrize("text, root", [("x^2", np.sqrt), ("x^3", np.cbrt),
+                                            ("x^0.5", np.square)],
+                             ids=["x^2", "x^3", "x^0.5"])
+    def test_root_within_the_bracket_width_bisected(self, text, root):
+        """The same targets through bisection: the closed-form inverse stripped."""
+        phi = PhiSpec.from_unit_function(
+            strip_inverse(unit_function_from_expr(text, continuous_bijection=True)))
+        exact = root(BOUND_TARGETS)
+        assert np.all(np.abs(phi.invert(BOUND_TARGETS) - exact) <= 2.0 ** -44 + np.spacing(exact))
+
+    @pytest.mark.parametrize("text, mp_phi", [
+        ("x^20", lambda x: x ** 20),
+        ("x^0.05", lambda x: x ** 0.05),
+    ], ids=["x^20", "x^0.05"])
+    def test_root_within_the_bracket_width_by_mpmath_bisected(self, text, mp_phi):
+        phi = PhiSpec.from_unit_function(
+            strip_inverse(unit_function_from_expr(text, continuous_bijection=True)))
+        assert_roots_within_the_bracket_by_mpmath(phi.invert, mp_phi)
+
+    @pytest.mark.parametrize("text, mp_phi", [
+        ("x^2", lambda x: x ** 2),
+        ("x^3", lambda x: x ** 3),
+        ("x^0.5", lambda x: mpmath_sqrt(x)),
+    ], ids=["x^2", "x^3", "x^0.5"])
+    def test_closed_form_root_within_the_bracket_width_by_mpmath(self, monkeypatch, text,
+                                                                 mp_phi):
+        phi = PhiSpec.from_expr(text)
+        monkeypatch.setattr(numerics, "bisect_increasing", refuse_to_bisect)
+        assert_roots_within_the_bracket_by_mpmath(phi.invert, mp_phi)
+
+
+def mpmath_sqrt(x):
+    import mpmath
+    return mpmath.sqrt(x)
+
+
+def refuse_to_bisect(fn, y):
+    raise AssertionError("bisect_increasing was called")
+
+
+def assert_roots_within_the_bracket_by_mpmath(invert, mp_phi):
+    """As ``test_root_within_the_bracket_width_by_mpmath``, for any inverse."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2)
+    y = np.concatenate([rng.uniform(size=150), 10.0 ** rng.uniform(-30.0, 0.0, 150)])
+    roots = invert(y)
+    with mpmath.workprec(200):
+        half = mpmath.mpf(2) ** -44
+        for target, r in zip(y.tolist(), roots.tolist()):
+            lo, hi = max(mpmath.mpf(r) - half, 0), min(mpmath.mpf(r) + half, 1)
+            assert mp_phi(lo) <= target <= mp_phi(hi), (target, r)
+
+
+class TestClosedForm:
+    """Expressions in which x occurs once invert in closed form, held to
+    the contract of ``bisect_increasing`` at the ends of [0, 1]."""
+
+    def test_scaling_law_and_triple_need_no_bisection(self, monkeypatch):
+        monkeypatch.setattr(numerics, "bisect_increasing", refuse_to_bisect)
+        report = check_quasi_homogeneity(catalog_lookup("product"), PhiSpec.from_expr("x^2"),
+                                         PsiSpec.power(4), grid=make_grid(30))
+        assert report.passed
+        A = from_triple(GeneratorTriple(
+            f=unit_function_from_expr("x^2", continuous_bijection=True),
+            g=unit_function_from_expr("x", increasing=True),
+            h=unit_function_from_expr("2*x/(1+x)", increasing=True)))
+        p = make_grid(20).points
+        assert np.isfinite(A(p[:, None], p[None, :])).all()
+
+    def test_an_undeclared_bijection_still_refuses(self):
+        u = unit_function_from_expr("x^2")
+        assert u.inverse is None
+        with pytest.raises(ContractError):
+            u.invert(0.25)
+
+    def test_one_minus_x_gets_no_inverse(self):
+        assert unit_function_from_expr("1-x").inverse is None
+        with pytest.raises(ContractError):
+            unit_function_from_expr("1-x", continuous_bijection=True)
+
+    @pytest.mark.parametrize("n", [100, 1])
+    def test_a_formula_on_the_wrong_branch_is_not_attached(self, n):
+        # 1-(x-1)^2 increases on [0, 1], but the formula's square root
+        # takes x - 1 >= 0, so the inverse it gives is 2 - x; a validation
+        # grid of its two ends alone does not let it through either
+        u = unit_function_from_expr("1-(x-1)^2", continuous_bijection=True, grid=make_grid(n))
+        assert u.inverse is None
+        assert abs(u.invert(0.75) - 0.5) <= 2.0 ** -44
+
+    @pytest.mark.parametrize("make, top", [
+        (lambda: unit_function_from_expr("x^2", continuous_bijection=True).invert, 1.0),
+        (lambda: PhiSpec.from_expr("2*x^2").invert, 2.0),
+    ], ids=["unit function", "phi b=2"])
+    def test_ends_are_exact_and_beyond_them_is_a_domain_error(self, make, top):
+        invert = make()
+        y = np.array([0.0, -1e-13, top, top + 1e-13])
+        assert np.array_equal(invert(y), [0.0, 0.0, 1.0, 1.0])
+        for bad in (-1e-3, top + 0.5):
+            with pytest.raises(DomainError) as info:
+                invert(np.array([0.5 * top, bad]))
+            assert str(info.value) == (
+                f"target {bad!r} is not bracketed by [0.0, 1.0] (no solution within tol)")
+
+    def test_unbounded_phi_maps_inf_to_one(self):
+        phi = PhiSpec.from_expr("1/(1-x)-1", b=float("inf"))
+        y = np.array([0.0, 1.0, 3.0, np.inf, np.nan])
+        assert np.array_equal(phi.invert(y), [0.0, 0.5, 0.75, 1.0, np.nan], equal_nan=True)
+        with pytest.raises(DomainError):
+            phi.invert(-1.0)
+
+    def test_the_catalog_power_extrapolates(self):
+        assert power_function(2).invert(2.25) == 1.5
+
+
 _BISECTED = UnitFunction(evaluator=power_function(2).evaluator, continuous_bijection=True,
                          name="x^2 (no closed form)")
 _EXPR_BIJECTION = unit_function_from_expr("2*x/(1+x)", continuous_bijection=True)
@@ -279,6 +397,8 @@ EVALUATORS = {
     "PhiSpec.invert power": PhiSpec.power(2.0).invert,
     "PhiSpec expression": PhiSpec.from_expr("x^2"),
     "PhiSpec.invert expression": PhiSpec.from_expr("x^2").invert,
+    "PhiSpec.invert expression bisection": PhiSpec.from_expr("x*x").invert,
+    "PhiSpec.invert unbounded closed form": PhiSpec.from_expr("1/(1-x)-1", b=float("inf")).invert,
     "PhiSpec unbounded": PhiSpec.from_expr("x/(1-x)", b=float("inf")),
     "PhiSpec.invert unbounded": PhiSpec.from_expr("x/(1-x)", b=float("inf")).invert,
     "PhiSpec inverse_of": PhiSpec.inverse_of(power_function(2)),

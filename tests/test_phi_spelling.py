@@ -1,9 +1,10 @@
 """The scaling law depends on the function phi, not on how it is spelled.
 
-Each phi is given twice: with a closed-form inverse and as an expression
-inverted numerically. Both spellings must give the same report on every
-input, including values of A outside [0, 1] and NaN, where phi is read at
-A clipped to its domain.
+Each phi is given twice: with the catalog's closed-form inverse and as an
+expression, inverted in closed form where x occurs once (x^2) and
+numerically where it occurs more often (x*x). Both spellings must give
+the same report on every input, including values of A outside [0, 1] and
+NaN, where phi is read at A clipped to its domain.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ SPELLINGS = {
     "x^3": (PhiSpec.power(3.0), PhiSpec.from_expr("x^3")),
     "x^0.5": (PhiSpec.power(0.5), PhiSpec.from_expr("x^0.5")),
     "identity": (PhiSpec.identity(), PhiSpec.from_expr("x*1")),
+    "x*x": (PhiSpec.power(2.0), PhiSpec.from_expr("x*x")),
+    "x*x*x": (PhiSpec.power(3.0), PhiSpec.from_expr("x*x*x")),
 }
 
 PSIS = {"power(1)": PsiSpec.power(1.0), "power(4)": PsiSpec.power(4.0),

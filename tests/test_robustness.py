@@ -13,6 +13,7 @@ from qhagg import (
     PhiSpec,
     PsiSpec,
     QhaggError,
+    catalog_lookup,
     check_aggregation,
     check_multiplicative,
     check_quasi_homogeneity,
@@ -93,10 +94,31 @@ def test_a_section_that_returns_a_scalar_is_sampled_as_a_constant(call, text):
     assert str(call()) == text
 
 
+def test_a_psi_that_returns_a_scalar_is_read_as_a_constant():
+    assert check_multiplicative(lambda x: 1.0).passed
+    report = check_multiplicative(lambda x: 0.5, grid=G10)
+    assert (report.passed, report.witness, report.max_residual) == (False, (0.0, 0.0), 0.25)
+
+
+def test_bisecting_a_constant_function_refuses_the_target():
+    u = UnitFunction(lambda x: 0.5, continuous_bijection=True)
+    with pytest.raises(DomainError) as info:
+        u.invert(0.3)
+    assert str(info.value) == (
+        "target 0.3 is not bracketed by [0.0, 1.0] (no solution within tol)")
+
+
+def test_a_phi_inverse_that_returns_a_scalar_is_read_as_a_constant():
+    phi = PhiSpec(b=1.0, evaluator=lambda x: 0.5, inverse=lambda y: 0.5)
+    report = check_quasi_homogeneity(catalog_lookup("product"), phi, PsiSpec.power(1), grid=G10)
+    assert str(report) == ("quasi-homogeneity psi=power:c=1 phi=phi: max residual 0.5 at "
+                           "(0.0, 0.0, 0.0) (grid n=10, tol=1e-09) -> FAIL")
+
+
 class TestOutOfRangeTarget:
     def test_power_psi_reports_a_witness_where_A_leaves_the_unit_interval(self):
         # A leaves [0, 1]; phi is read at A clipped to [0, 1], so the
-        # bisection-backed phi reports the failure the closed form reports
+        # expression phi reports the failure the catalog power reports
         A = AggregationFunction(lambda x, y: 1.5 * x * y, provenance="1.5 x y")
         report = check_quasi_homogeneity(A, PhiSpec.from_expr("x^2"), PsiSpec.power(1.0),
                                          grid=G10)

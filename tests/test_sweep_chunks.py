@@ -54,11 +54,12 @@ def zero_rhs(base):
 
 
 def expression_triple():
-    """from_triple of f=x^2, g=x, h=2x/(1+x), all expressions: every
-    evaluation of A inverts f numerically, lane by lane."""
+    """from_triple of f=x*x, g=x, h=2x/(1+x), all expressions: every
+    evaluation of A inverts f numerically, lane by lane (x^2 would invert
+    in closed form)."""
     def unit(text, **flags):
         return unit_function_from_expr(text, increasing=True, **flags)
-    return from_triple(GeneratorTriple(f=unit("x^2", continuous_bijection=True),
+    return from_triple(GeneratorTriple(f=unit("x*x", continuous_bijection=True),
                                        g=unit("x"), h=unit("2*x/(1+x)")))
 
 
@@ -125,15 +126,17 @@ def test_phi_of_base_is_evaluated_once_per_sweep(monkeypatch):
 
 
 def test_bisection_backed_phi_is_independent_of_chunking(monkeypatch):
-    # phi = x^3 as an expression has no closed-form inverse, so every lane
-    # of the sweep is inverted numerically; since an inversion's result
-    # depends on its target alone, the chunking cannot move a digit
+    # phi = x*x*x has no closed-form inverse (x occurs three times), so every
+    # lane of the sweep is inverted numerically; since an inversion's result
+    # depends on its target alone, the chunking cannot move a digit. The
+    # expression x^3 inverts in closed form, which is elementwise too
     g150 = make_grid(150)
-    per_row, whole = one_row_and_whole(monkeypatch, lambda: check_quasi_homogeneity(
-        catalog_lookup("harmonic_min"), PhiSpec.from_expr("x^3"), PsiSpec.power(1.0),
-        grid=g150), g150)
-    assert per_row == whole
-    assert whole.passed is False
+    for text in ("x^3", "x*x*x"):
+        per_row, whole = one_row_and_whole(monkeypatch, lambda: check_quasi_homogeneity(
+            catalog_lookup("harmonic_min"), PhiSpec.from_expr(text), PsiSpec.power(1.0),
+            grid=g150), g150)
+        assert per_row == whole
+        assert whole.passed is False
 
 
 # ------------------------------------------------- step psi: no cube inversion

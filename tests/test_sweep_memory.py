@@ -61,6 +61,15 @@ def test_expression_phi_power_psi_sweep_at_n150():
     assert peak < PEAK_LIMIT_MIB * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
+def test_bisected_expression_phi_power_psi_sweep_at_n150():
+    # x*x has no closed-form inverse, so each chunk's targets are bisected
+    A, phi, psi = catalog_lookup("product"), PhiSpec.from_expr("x*x"), PsiSpec.power(4.0)
+    grid = make_grid(150)
+    report, peak = traced_peak(lambda: check_quasi_homogeneity(A, phi, psi, grid=grid))
+    assert report.passed
+    assert peak < PEAK_LIMIT_MIB * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_class1_classify_at_n400():
     grid = make_grid(400)
     report, peak = traced_peak(lambda: classify(catalog_lookup("product"), grid=grid))
