@@ -23,6 +23,7 @@ from qhagg import (
     bounded_rational,
     identity,
     make_grid,
+    numerics,
     power_function,
     validate_triple,
 )
@@ -80,6 +81,19 @@ def strip_inverse(u: UnitFunction) -> UnitFunction:
                         strictly_increasing=u.strictly_increasing,
                         continuous_bijection=u.continuous_bijection,
                         inverse=None, name=u.name + "|bisect")
+
+
+def counted_refine(monkeypatch):
+    """A one-element list holding the lanes ``numerics._refine`` is given
+    from here on."""
+    lanes, refine = [0], numerics._refine
+
+    def counted(fn, y, xs, fs):
+        lanes[0] += y.size
+        return refine(fn, y, xs, fs)
+
+    monkeypatch.setattr(numerics, "_refine", counted)
+    return lanes
 
 
 def interior_step(threshold: float = 0.5) -> UnitFunction:

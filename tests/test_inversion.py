@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import strip_inverse
+from conftest import counted_refine, strip_inverse
 
 from qhagg import (ContractError, DomainError, GeneratorTriple, PhiSpec, PsiSpec, UnitFunction,
                    bisect_increasing, catalog_lookup, check_quasi_homogeneity, diagonal,
@@ -167,6 +167,106 @@ class TestBlocksAndEndpointScreen:
         x = bisect_increasing(fn, y)
         assert fn.lanes == len(_BRACKET_TABLE)
         assert np.array_equal(x, np.tile([0.0, 1.0, 0.0, 1.0], 10**4))
+
+
+def sqrt4(x):
+    # x^(1/16): targets below 2^(-60/16) splice in the deep table
+    return np.sqrt(np.sqrt(np.sqrt(np.sqrt(x))))
+
+
+def recorded_memos(monkeypatch):
+    """The memo of every inverse ``inverse_evaluator`` builds from here on."""
+    made = []
+
+    class Recorded(numerics._RootMemo):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(numerics, "_RootMemo", Recorded)
+    return made
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestRootMemo:
+    """Each numeric inverse of ``inverse_evaluator`` remembers the roots it
+    has refined, across calls. A root depends on its target alone, so a
+    remembered root has the bits of a fresh one."""
+
+    def test_overlapping_batches_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        inverse = numerics.inverse_evaluator(UnitFunction(sqrt4, continuous_bijection=True))
+        shallow = rng.uniform(0.5, 1.0, 3000)
+        deep = rng.uniform(0.0, 0.05, 1000)
+        assert deep.max() < sqrt4(2.0 ** -60)  # 0.074: these reach the deep table
+        batches = [
+            shallow,
+            np.concatenate([shallow[:2000], deep[:500], [np.nan, 0.0, 1.0]]),
+            # remembered deep roots, in a batch with no deep target to refine
+            np.concatenate([deep[:500], shallow[1000:], rng.uniform(0.5, 1.0, 100)]),
+            np.concatenate([deep, [np.nan], shallow[::7]]).reshape(-1, 1),
+        ]
+        for y in batches:
+            assert np.array_equal(bits(inverse(y)), bits(bisect_increasing(sqrt4, y)))
+
+    def test_a_repeated_batch_refines_no_lane(self, monkeypatch):
+        lanes = counted_refine(monkeypatch)
+        inverse = numerics.inverse_evaluator(UnitFunction(square, continuous_bijection=True))
+        y = np.random.default_rng(6).uniform(size=5000)
+        first = inverse(y)
+        assert lanes[0] == y.size
+        again = inverse(np.concatenate([y[::-1], y[:100]]))
+        assert lanes[0] == y.size
+        assert np.array_equal(bits(again), bits(np.concatenate([first[::-1], first[:100]])))
+        # targets are matched by ==: one ulp away is a new target
+        inverse(np.nextafter(y, 2.0))
+        assert lanes[0] == 2 * y.size
+
+    def test_nan_is_never_remembered(self, monkeypatch):
+        memos, lanes = recorded_memos(monkeypatch), counted_refine(monkeypatch)
+        inverse = numerics.inverse_evaluator(UnitFunction(jump, continuous_bijection=True))
+        # 0.3 and 0.5 lie inside the jump, so their roots are NaN
+        y = np.array([0.1, 0.3, np.nan, 0.5, 0.9, np.nan])
+        for _ in range(2):
+            x = inverse(y)
+            assert np.isnan(x[1:4]).all() and not np.isnan(x[[0, 4]]).any()
+        (memo,) = memos
+        assert np.array_equal(memo.keys, [0.1, 0.9])
+        assert not np.isnan(memo.roots).any()
+        # the second call refines the two jump targets only
+        assert lanes[0] == 4 + 2
+
+    def test_the_memo_grows_while_half_the_targets_hit(self, monkeypatch):
+        memos = recorded_memos(monkeypatch)
+        inverse = numerics.inverse_evaluator(UnitFunction(square, continuous_bijection=True))
+        (memo,) = memos
+        y = np.random.default_rng(8).uniform(size=400)
+        inverse(y[:100])
+        assert memo.keys.size == 100
+        inverse(y[50:200])  # 50 of 150 hit: not added
+        assert memo.keys.size == 100
+        inverse(y[:200])  # 100 of 200 hit: added
+        assert memo.keys.size == 200
+        assert np.array_equal(memo.keys, np.sort(y[:200]))
+
+    def test_the_memo_never_outgrows_its_cap(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MEMO_CAP", 100)
+        memos = recorded_memos(monkeypatch)
+        inverse = numerics.inverse_evaluator(UnitFunction(square, continuous_bijection=True))
+        (memo,) = memos
+        y = np.random.default_rng(9).uniform(size=1000)
+        sizes = []
+        for batch in (y[:150], y[:60], y[:90], y[:120], y[60:180], y[:100], y):
+            assert np.array_equal(bits(inverse(batch)), bits(bisect_increasing(square, batch)))
+            assert memo.keys.size == memo.roots.size <= 100
+            assert np.all(np.diff(memo.keys) > 0.0)
+            sizes.append(memo.keys.size)
+        # 150 new roots do not fit; 60 do, then 30 more and 10 more; the
+        # 30 new roots of y[:120] would overflow, and y[60:180] hits too few
+        assert sizes == [0, 60, 90, 90, 90, 100, 100]
 
 
 class TestDistinct:

@@ -16,9 +16,11 @@ import math
 import numpy as np
 import pytest
 
-from qhagg import (AggregationFunction, GeneratorTriple, PhiSpec, PsiSpec, catalog_lookup,
-                   check_homogeneous_order, check_quasi_homogeneity, from_triple, make_grid,
-                   unit_function_from_expr)
+from conftest import counted_refine
+
+from qhagg import (CLASS1, AggregationFunction, GeneratorTriple, PhiSpec, PsiSpec,
+                   catalog_lookup, check_homogeneous_order, check_quasi_homogeneity, classify,
+                   from_triple, make_grid, unit_function_from_expr)
 from qhagg import verify
 from qhagg.numerics import Grid, distinct
 
@@ -137,6 +139,22 @@ def test_bisection_backed_phi_is_independent_of_chunking(monkeypatch):
             grid=g150), g150)
         assert per_row == whole
         assert whole.passed is False
+
+
+def test_triple_sections_are_refined_once_whatever_the_tiles(monkeypatch):
+    # A inverts f on every tile it evaluates, and the tiles of a sweep
+    # share the ratios x/y; since f's inverse remembers its roots across
+    # calls, one x-line per tile refines no more lanes than the default plan
+    g60 = make_grid(60)
+    lanes = counted_refine(monkeypatch)
+    runs = []
+    for tile in (verify.SWEEP_TILE_LANES, len(g60)):  # default; one x-line
+        monkeypatch.setattr(verify, "SWEEP_TILE_LANES", tile)
+        lanes[0] = 0
+        runs.append((str(classify(expression_triple(), grid=g60)), lanes[0]))
+    (default, default_lanes), (one_line, one_line_lanes) = runs
+    assert one_line == default and default.startswith(CLASS1)
+    assert one_line_lanes == default_lanes
 
 
 # ------------------------------------------------- step psi: no cube inversion
