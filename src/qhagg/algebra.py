@@ -13,6 +13,7 @@ check.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import exprparse
 from .errors import ContractError, DomainError
 from .numerics import (Grid, default_grid, elementwise, first_fall, first_witness,
-                       invert_monotone, pinned_inverse)
+                       inverse_evaluator, invert_monotone, pinned_inverse)
 
 __all__ = [
     "UnitFunction",
@@ -44,7 +45,8 @@ class UnitFunction:
     increasing / strictly_increasing / continuous_bijection : declared flags
         (continuous_bijection implies fixed endpoints 0 and 1)
     inverse : optional closed-form inverse evaluator
-    invert : preimage of y, by the closed-form inverse if present, else bisection
+    invert : preimage of y, by the closed-form inverse if present, else bisection,
+        through the one inverse the function keeps
     """
 
     evaluator: Callable
@@ -58,6 +60,19 @@ class UnitFunction:
         return elementwise(self.evaluator(np.asarray(x, dtype=float)), x)
 
     invert = invert_monotone
+
+    @functools.cached_property
+    def _kept_inverse(self) -> Callable:
+        # read by invert and PhiSpec.inverse_of only: validate_triple's roots
+        # in from_triple's memo would make the sweep's tiles hit too few
+        # targets for it to grow
+        return inverse_evaluator(self)
+
+    @functools.cached_property
+    def _bijective(self) -> "UnitFunction":
+        # classify's Class-1 delta: one copy per diagonal, so one kept inverse
+        return self.declared(increasing=True, strictly_increasing=True,
+                             continuous_bijection=True)
 
     def declared(self, **flags) -> "UnitFunction":
         """Copy with declaration flags re-established after external checks."""
@@ -163,17 +178,27 @@ class AggregationFunction:
     def __repr__(self):
         return f"AggregationFunction({self.name or self.provenance})"
 
+    @functools.cached_property
+    def _diagonal(self) -> UnitFunction:
+        # the section holds the evaluator, not A: keeping it on A makes no
+        # reference cycle, so A is freed with its last reference
+        ev = self.evaluator
+        return UnitFunction(
+            evaluator=lambda x: ev(np.asarray(x, float), np.asarray(x, float)),
+            name=f"diag({self.name or self.provenance})",
+        )
+
 
 def diagonal(A: AggregationFunction) -> UnitFunction:
-    """The diagonal section x -> A(x, x).
+    """The diagonal section x -> A(x, x), one per A.
 
+    It is built on the first call and kept on A. ``classify``'s Class-1
+    ``delta`` is its one declared copy, so the roots of delta's inverse
+    are kept with A (up to ``numerics._MEMO_CAP`` of them) and solved once.
     No declared flags are inherited; they must be re-established by checks
     (the diagonal of an aggregation function need not be a bijection).
     """
-    return UnitFunction(
-        evaluator=lambda x: A.evaluator(np.asarray(x, float), np.asarray(x, float)),
-        name=f"diag({A.name or A.provenance})",
-    )
+    return A._diagonal
 
 
 COMBINERS: dict[str, Callable] = {

@@ -373,10 +373,12 @@ def invert_monotone(f, y):
     """Inverse of a unit-interval function declared a continuous bijection.
 
     ``f`` is a UnitFunction. A closed-form inverse is used when present;
-    otherwise the value is located by ``bisect_increasing`` on [0, 1].
+    otherwise the value is located by ``bisect_increasing`` on [0, 1]. Every
+    call reads the one inverse ``f`` keeps (``inverse_evaluator(f)``, built
+    on first use), so a root solved by one call is not refined by the next.
     """
     if f.inverse is None and not f.continuous_bijection:
         raise ContractError(
             "invert_monotone requires a function declared continuous_bijection"
         )
-    return elementwise(inverse_evaluator(f)(np.asarray(y, dtype=float)), y)
+    return elementwise(f._kept_inverse(np.asarray(y, dtype=float)), y)

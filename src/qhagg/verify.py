@@ -162,7 +162,9 @@ class PhiSpec:
 
         The canonical scaling pair of a bijective-diagonal function is
         psi = power(c), phi = (diagonal_inv)^c; with c = 1 this is the
-        normalized pair (psi = id, phi = diagonal_inv).
+        normalized pair (psi = id, phi = diagonal_inv). u_inv is the one
+        inverse u keeps (``u.invert``), so every PhiSpec of one u, whatever
+        its c, shares one root memo.
         """
         if not u.continuous_bijection:
             raise ContractError(
@@ -171,7 +173,7 @@ class PhiSpec:
             raise DomainError(f"exponent must be positive, got {c}")
         inv_c = 1.0 / c
 
-        def evaluator(x, ui=inverse_evaluator(u), cc=c):
+        def evaluator(x, ui=u.invert, cc=c):
             return np.power(np.asarray(ui(x), dtype=float), cc)
 
         def inverse(y, ev=u.evaluator, e=inv_c):
@@ -837,8 +839,7 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
         if not dbc.passed:
             x1, x2, d1, d2 = dbc.witness
             return report(verdict=NOT_QH, witness=(x1, x2, x2, abs(d2 - d1)), reason=dbc.reason)
-        found = report(verdict=CLASS1, delta=t.f.declared(
-            increasing=True, strictly_increasing=True, continuous_bijection=True))
+        found = report(verdict=CLASS1, delta=t.f._bijective)
         return scaling_law(found, "diagonal is bijective but the scaling law with "
                                    "psi = id, phi = diagonal_inv fails") or found
 
@@ -858,7 +859,9 @@ def canonical_pair(report: ClassificationReport) -> tuple[PhiSpec, PsiSpec]:
 
     Class 1 uses the normalized pair (diagonal_inv, identity power); the
     two discontinuous classes use any increasing bijection (identity here)
-    with their step scaling.
+    with their step scaling. Every Class-1 report of one A holds the same
+    delta, whose inverse keeps its roots, so ``classify`` and each
+    re-verification solve a diagonal root once.
     """
     if report.verdict == CLASS1:
         return PhiSpec.inverse_of(report.delta), PsiSpec.power(1.0)

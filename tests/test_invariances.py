@@ -15,6 +15,9 @@ the conftest families; grids are small (n in {8, 12, 20}).
   families, with power sections x^a for a in [0.05, 4].
 * Validation at the classifying grid is enough: a triple that
   ``validate_triple`` accepts at n classifies Class 1 at that n.
+* The ratio conditions are not vacuous: a triple whose nonincreasing-ratio
+  condition fails at n, built with ``validate=False``, is refuted at n as
+  not an aggregation function.
 * The discontinuous classes take any phi: ``class_flat`` and
   ``class_boundary`` members meet the scaling law with their step psi for
   phi = x^c, (2x/(1+x))_inv^c or the expression x^c, c in [0.25, 4].
@@ -29,8 +32,8 @@ from conftest import convex_with_identity, random_valid_triples
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhagg import (CLASS1, ContractError, GeneratorTriple, PhiSpec, PsiSpec, bounded_rational,
-                   canonical_pair, catalog_lookup, check_homogeneous_order,
+from qhagg import (CLASS1, NOT_QH, ContractError, GeneratorTriple, PhiSpec, PsiSpec,
+                   bounded_rational, canonical_pair, catalog_lookup, check_homogeneous_order,
                    check_quasi_homogeneity, class_boundary, class_flat, classify,
                    fit_power_exponent, from_triple, identity, make_grid, power_function,
                    validate_triple)
@@ -97,6 +100,17 @@ def test_a_triple_valid_at_n_classifies_class1_at_n(c, g, h, n):
     assume(validate_triple(t, grid=grid).ok)
     r = classify(from_triple(t, validate=False), grid=grid)
     assert r.verdict == CLASS1, (repr(t), n, str(r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.5, 2.0), g=SECTIONS, h=SECTIONS, n=SIZES)
+def test_a_triple_that_breaks_a_ratio_condition_is_not_an_aggregation_function(c, g, h, n):
+    t, grid = GeneratorTriple(f=power_function(c), g=g, h=h), make_grid(n)
+    assume(any(not check.passed and check.name.startswith("f_inv(")
+               for check in validate_triple(t, grid=grid).conditions))
+    r = classify(from_triple(t, validate=False), grid=grid)
+    assert r.verdict == NOT_QH, (repr(t), n, str(r))
+    assert r.reason.startswith("not an aggregation function: "), (repr(t), n, str(r))
 
 
 PHIS = {

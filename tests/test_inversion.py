@@ -9,18 +9,21 @@ these tests are deterministic.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import counted_refine, strip_inverse
 
-from qhagg import (ContractError, DomainError, GeneratorTriple, PhiSpec, PsiSpec, UnitFunction,
-                   bisect_increasing, catalog_lookup, check_quasi_homogeneity, diagonal,
-                   from_triple, invert_monotone, make_grid, numerics, power_function,
-                   unit_function_from_expr)
+from qhagg import (CLASS1, NOT_QH, ContractError, DomainError, GeneratorTriple, PhiSpec, PsiSpec,
+                   UnitFunction, aggregation_from_combiner, bisect_increasing, canonical_pair,
+                   catalog_lookup, check_quasi_homogeneity, classify, diagonal, from_triple,
+                   invert_monotone, make_grid, numerics, power_function, unit_function_from_expr,
+                   validate_triple)
 from qhagg.exprparse import eval_expr, parse_expr
 from qhagg.numerics import _BRACKET_TABLE, _REFINE_BLOCK, distinct
 
@@ -267,6 +270,119 @@ class TestRootMemo:
         # 150 new roots do not fit; 60 do, then 30 more and 10 more; the
         # 30 new roots of y[:120] would overflow, and y[60:180] hits too few
         assert sizes == [0, 60, 90, 90, 90, 100, 100]
+
+    def test_invert_keeps_one_inverse_across_calls(self, monkeypatch):
+        lanes = counted_refine(monkeypatch)
+        u = unit_function_from_expr("x*x", continuous_bijection=True)
+        assert u.inverse is None
+        y = np.random.default_rng(10).uniform(size=2000)
+        first = u.invert(y)
+        assert lanes[0] == y.size
+        again = u.invert(y)
+        assert lanes[0] == y.size
+        assert np.array_equal(bits(again), bits(first))
+        assert np.array_equal(bits(first), bits(bisect_increasing(u.evaluator, y)))
+
+    def test_invert_still_refuses_an_undeclared_function(self):
+        with pytest.raises(ContractError) as info:
+            unit_function_from_expr("x*x").invert(0.25)
+        assert str(info.value) == (
+            "invert_monotone requires a function declared continuous_bijection")
+
+
+def bisected_triple():
+    """from_triple of the expressions f=x*x, g=x, h=2x/(1+x), unvalidated:
+    x occurs twice in f, so f and the diagonal invert numerically."""
+    t = GeneratorTriple(f=unit_function_from_expr("x*x", continuous_bijection=True),
+                        g=unit_function_from_expr("x", increasing=True),
+                        h=unit_function_from_expr("2*x/(1+x)", increasing=True))
+    return t, from_triple(t, validate=False)
+
+
+def expr2d_mean():
+    """mean(x^2, x): an aggregation function whose diagonal is a bijection,
+    refuted by the scaling law."""
+    return aggregation_from_combiner("mean", unit_function_from_expr("x^2"),
+                                     unit_function_from_expr("x"))
+
+
+def report_key(r):
+    """A classification report by value, its floats by their bits."""
+    return (r.verdict, r.witness and bits(r.witness).tolist(), r.reason,
+            {k: bits([v]).tolist() for k, v in r.diagnostics.items()}, str(r))
+
+
+class TestDiagonalReuse:
+    """An aggregation function keeps one diagonal section, and the diagonal
+    one inverse: ``classify``, every re-verification of its canonical pair
+    and every later ``classify`` of the same A solve each diagonal root once,
+    with the bits a fresh function gives."""
+
+    @pytest.mark.parametrize("make, n, cold", [
+        (lambda: catalog_lookup("product"), 100, 3328),
+        (lambda: catalog_lookup("harmonic_min"), 100, 4930),
+        (lambda: bisected_triple()[1], 40, 3322),
+    ], ids=["product", "harmonic_min", "bisected triple"])
+    def test_a_warm_diagonal_refines_no_lane(self, monkeypatch, make, n, cold):
+        lanes, A, grid = counted_refine(monkeypatch), make(), make_grid(n)
+        first = classify(A, grid=grid)
+        assert first.verdict == CLASS1 and lanes[0] == cold
+        assert check_quasi_homogeneity(A, *canonical_pair(first), grid=grid).passed
+        again = classify(A, grid=grid)
+        assert lanes[0] == cold
+        assert again.delta is first.delta
+        assert report_key(again) == report_key(first)
+
+    @pytest.mark.parametrize("make, verdict", [
+        (lambda: bisected_triple()[1], CLASS1),
+        (expr2d_mean, NOT_QH),
+    ], ids=["bisected triple", "expr2d mean"])
+    def test_warm_and_fresh_reports_are_equal(self, make, verdict):
+        grid, A = make_grid(30), make()
+        first = classify(A, grid=grid)
+        if first.verdict == CLASS1:
+            assert check_quasi_homogeneity(A, *canonical_pair(first), grid=grid).passed
+        warm, fresh = classify(A, grid=grid), classify(make(), grid=grid)
+        assert warm.verdict == verdict
+        assert report_key(warm) == report_key(fresh) == report_key(first)
+
+    def test_a_patched_bisection_sees_every_inversion_warm_or_cold(self, monkeypatch):
+        calls, bisect = [], numerics.bisect_increasing
+
+        def recorded(fn, y, **kwargs):
+            calls.append(np.size(y))
+            return bisect(fn, y, **kwargs)
+
+        monkeypatch.setattr(numerics, "bisect_increasing", recorded)
+        A, grid = catalog_lookup("product"), make_grid(20)
+        classify(A, grid=grid)
+        cold = list(calls)
+        calls.clear()
+        classify(A, grid=grid)
+        assert calls == cold and cold
+
+    def test_the_function_is_still_collected(self):
+        _, A = bisected_triple()
+        grid = make_grid(20)
+        r = classify(A, grid=grid)
+        assert check_quasi_homogeneity(A, *canonical_pair(r), grid=grid).passed
+        ref = weakref.ref(A)
+        del A, r
+        gc.collect()
+        assert ref() is None
+
+    def test_validation_shares_no_memo_with_the_function(self, monkeypatch):
+        # validate_triple and from_triple each build their own inverse of t.f:
+        # validation's roots would make the sweep's first tile hit too few
+        # targets to let the memo grow, and every later tile re-solve its own
+        lanes, grid, runs = counted_refine(monkeypatch), make_grid(40), []
+        for validate_first in (False, True):
+            t, A = bisected_triple()
+            if validate_first:
+                assert validate_triple(t).ok
+            lanes[0] = 0
+            runs.append((str(classify(A, grid=grid)), lanes[0]))
+        assert runs[0] == runs[1]
 
 
 class TestDistinct:
