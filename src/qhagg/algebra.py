@@ -63,16 +63,10 @@ class UnitFunction:
 
     @functools.cached_property
     def _kept_inverse(self) -> Callable:
-        # read by invert and PhiSpec.inverse_of only: validate_triple's roots
-        # in from_triple's memo would make the sweep's tiles hit too few
-        # targets for it to grow
+        # read by invert and PhiSpec.inverse_of only: validate_triple and
+        # from_triple build their own, so the work of classifying A does not
+        # depend on whether its triple was validated first
         return inverse_evaluator(self)
-
-    @functools.cached_property
-    def _bijective(self) -> "UnitFunction":
-        # classify's Class-1 delta: one copy per diagonal, so one kept inverse
-        return self.declared(increasing=True, strictly_increasing=True,
-                             continuous_bijection=True)
 
     def declared(self, **flags) -> "UnitFunction":
         """Copy with declaration flags re-established after external checks."""
@@ -178,27 +172,17 @@ class AggregationFunction:
     def __repr__(self):
         return f"AggregationFunction({self.name or self.provenance})"
 
-    @functools.cached_property
-    def _diagonal(self) -> UnitFunction:
-        # the section holds the evaluator, not A: keeping it on A makes no
-        # reference cycle, so A is freed with its last reference
-        ev = self.evaluator
-        return UnitFunction(
-            evaluator=lambda x: ev(np.asarray(x, float), np.asarray(x, float)),
-            name=f"diag({self.name or self.provenance})",
-        )
-
 
 def diagonal(A: AggregationFunction) -> UnitFunction:
-    """The diagonal section x -> A(x, x), one per A.
+    """The diagonal section x -> A(x, x).
 
-    It is built on the first call and kept on A. ``classify``'s Class-1
-    ``delta`` is its one declared copy, so the roots of delta's inverse
-    are kept with A (up to ``numerics._MEMO_CAP`` of them) and solved once.
     No declared flags are inherited; they must be re-established by checks
     (the diagonal of an aggregation function need not be a bijection).
     """
-    return A._diagonal
+    return UnitFunction(
+        evaluator=lambda x: A.evaluator(np.asarray(x, float), np.asarray(x, float)),
+        name=f"diag({A.name or A.provenance})",
+    )
 
 
 COMBINERS: dict[str, Callable] = {

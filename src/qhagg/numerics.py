@@ -182,9 +182,10 @@ class _RootMemo:
     def grows(self, size, misses):
         """Whether a call of ``size`` targets, ``misses`` of them not
         remembered, adds its new roots: while that pays, that is while the
-        memo is empty or at least half of the call's targets were
+        memo holds fewer roots than the call misses (it is empty, or a
+        smaller call filled it) or at least half of the call's targets were
         remembered, and only within the cap."""
-        return ((not self.keys.size or 2 * misses <= size)
+        return ((self.keys.size < misses or 2 * misses <= size)
                 and self.keys.size + misses <= _MEMO_CAP)
 
     def add(self, keys, roots):

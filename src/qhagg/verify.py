@@ -796,6 +796,11 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
     deterministic grid order. The verdict is evidence relative to the grid
     and tolerance recorded in the report. A is sampled once, on the base
     grid, and every check reads that sample, the diagonal included.
+
+    A Class-1 report's ``delta`` keeps the roots its inverse solved for the
+    scaling law, up to ``numerics._MEMO_CAP`` of them (4 MiB), so that
+    re-verifying ``canonical_pair(report)`` reuses them; they are freed
+    with the report. Each call builds its own ``delta``.
     """
     g = grid or default_grid()
     if g.n < 2:
@@ -839,7 +844,8 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
         if not dbc.passed:
             x1, x2, d1, d2 = dbc.witness
             return report(verdict=NOT_QH, witness=(x1, x2, x2, abs(d2 - d1)), reason=dbc.reason)
-        found = report(verdict=CLASS1, delta=t.f._bijective)
+        found = report(verdict=CLASS1, delta=t.f.declared(
+            increasing=True, strictly_increasing=True, continuous_bijection=True))
         return scaling_law(found, "diagonal is bijective but the scaling law with "
                                    "psi = id, phi = diagonal_inv fails") or found
 
@@ -859,9 +865,9 @@ def canonical_pair(report: ClassificationReport) -> tuple[PhiSpec, PsiSpec]:
 
     Class 1 uses the normalized pair (diagonal_inv, identity power); the
     two discontinuous classes use any increasing bijection (identity here)
-    with their step scaling. Every Class-1 report of one A holds the same
-    delta, whose inverse keeps its roots, so ``classify`` and each
-    re-verification solve a diagonal root once.
+    with their step scaling. A Class-1 pair inverts the report's own
+    ``delta``, whose one kept inverse ``classify`` already filled, so a
+    re-verification on ``classify``'s grid refines no diagonal root again.
     """
     if report.verdict == CLASS1:
         return PhiSpec.inverse_of(report.delta), PsiSpec.power(1.0)

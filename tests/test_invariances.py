@@ -105,10 +105,13 @@ def test_a_triple_valid_at_n_classifies_class1_at_n(c, g, h, n):
 @settings(max_examples=100, deadline=None)
 @given(c=st.floats(0.5, 2.0), g=SECTIONS, h=SECTIONS, n=SIZES)
 def test_a_triple_that_breaks_a_ratio_condition_is_not_an_aggregation_function(c, g, h, n):
-    t, grid = GeneratorTriple(f=power_function(c), g=g, h=h), make_grid(n)
+    # both read at validate_triple's default tolerance: at classify's looser
+    # default, f = x^0.99999, g = h = x at n = 12 breaks a ratio condition
+    # yet A's fall (8e-7) is within tolerance, and A classifies Class 1
+    t, grid, tol = GeneratorTriple(f=power_function(c), g=g, h=h), make_grid(n), 1e-9
     assume(any(not check.passed and check.name.startswith("f_inv(")
-               for check in validate_triple(t, grid=grid).conditions))
-    r = classify(from_triple(t, validate=False), grid=grid)
+               for check in validate_triple(t, grid=grid, tol=tol).conditions))
+    r = classify(from_triple(t, validate=False), grid=grid, tol=tol)
     assert r.verdict == NOT_QH, (repr(t), n, str(r))
     assert r.reason.startswith("not an aggregation function: "), (repr(t), n, str(r))
 

@@ -255,6 +255,17 @@ class TestRootMemo:
         assert memo.keys.size == 200
         assert np.array_equal(memo.keys, np.sort(y[:200]))
 
+    def test_a_memo_a_smaller_call_filled_grows(self, monkeypatch):
+        memos = recorded_memos(monkeypatch)
+        inverse = numerics.inverse_evaluator(UnitFunction(square, continuous_bijection=True))
+        (memo,) = memos
+        y = np.random.default_rng(11).uniform(size=1000)
+        inverse(y[:10])
+        inverse(y[100:400])  # 300 misses, more than the 10 roots held: added
+        assert memo.keys.size == 310
+        inverse(y[400:700])  # 300 misses, fewer than the 310 held: not added
+        assert memo.keys.size == 310
+
     def test_the_memo_never_outgrows_its_cap(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MEMO_CAP", 100)
         memos = recorded_memos(monkeypatch)
@@ -282,6 +293,17 @@ class TestRootMemo:
         assert lanes[0] == y.size
         assert np.array_equal(bits(again), bits(first))
         assert np.array_equal(bits(first), bits(bisect_increasing(u.evaluator, y)))
+
+    def test_a_scalar_invert_first_does_not_stop_the_memo_growing(self, monkeypatch):
+        lanes = counted_refine(monkeypatch)
+        u = unit_function_from_expr("x*x", continuous_bijection=True)
+        u.invert(0.5)
+        # phi = sqrt and psi = id scale the product
+        phi, psi, grid = PhiSpec.inverse_of(u), PsiSpec.power(1.0), make_grid(60)
+        assert check_quasi_homogeneity(catalog_lookup("product"), phi, psi, grid=grid).passed
+        lanes[0] = 0
+        assert check_quasi_homogeneity(catalog_lookup("product"), phi, psi, grid=grid).passed
+        assert lanes[0] == 0
 
     def test_invert_still_refuses_an_undeclared_function(self):
         with pytest.raises(ContractError) as info:
@@ -313,25 +335,50 @@ def report_key(r):
 
 
 class TestDiagonalReuse:
-    """An aggregation function keeps one diagonal section, and the diagonal
-    one inverse: ``classify``, every re-verification of its canonical pair
-    and every later ``classify`` of the same A solve each diagonal root once,
-    with the bits a fresh function gives."""
+    """A Class-1 report's ``delta`` keeps one inverse: the re-verification of
+    its canonical pair reads the roots ``classify`` solved, with the bits a
+    fresh inverse gives. Each ``classify`` builds its own ``delta``, so
+    nothing of the diagonal is kept with A."""
 
-    @pytest.mark.parametrize("make, n, cold", [
-        (lambda: catalog_lookup("product"), 100, 3328),
-        (lambda: catalog_lookup("harmonic_min"), 100, 4930),
-        (lambda: bisected_triple()[1], 40, 3322),
+    @pytest.mark.parametrize("make, n, lanes_per_pass", [
+        (lambda: catalog_lookup("product"), 100, [3328, 0, 3328]),
+        (lambda: catalog_lookup("harmonic_min"), 100, [4930, 0, 4930]),
+        # the second classify reads the roots of f's inverse that A keeps,
+        # and solves only its own delta again
+        (lambda: bisected_triple()[1], 40, [3322, 0, 1523]),
     ], ids=["product", "harmonic_min", "bisected triple"])
-    def test_a_warm_diagonal_refines_no_lane(self, monkeypatch, make, n, cold):
+    def test_a_reverification_refines_no_lane(self, monkeypatch, make, n, lanes_per_pass):
         lanes, A, grid = counted_refine(monkeypatch), make(), make_grid(n)
-        first = classify(A, grid=grid)
-        assert first.verdict == CLASS1 and lanes[0] == cold
-        assert check_quasi_homogeneity(A, *canonical_pair(first), grid=grid).passed
-        again = classify(A, grid=grid)
-        assert lanes[0] == cold
-        assert again.delta is first.delta
+        runs = []
+
+        def counted(step):
+            lanes[0] = 0
+            out = step()
+            runs.append(lanes[0])
+            return out
+
+        first = counted(lambda: classify(A, grid=grid))
+        assert first.verdict == CLASS1
+        assert counted(lambda: check_quasi_homogeneity(
+            A, *canonical_pair(first), grid=grid).passed)
+        again = counted(lambda: classify(A, grid=grid))
+        assert runs == lanes_per_pass
+        assert again.delta is not first.delta
         assert report_key(again) == report_key(first)
+
+    @pytest.mark.parametrize("make", [
+        lambda: catalog_lookup("product"),
+        lambda: bisected_triple()[1],
+    ], ids=["product", "bisected triple"])
+    def test_a_coarser_classify_first_does_not_stop_the_memo_growing(self, monkeypatch, make):
+        # the n = 20 classify leaves a few roots in the memo of the triple's
+        # f inverse, which A keeps; the n = 100 sweep's tiles still add theirs
+        lanes, A, grid = counted_refine(monkeypatch), make(), make_grid(100)
+        classify(A, grid=make_grid(20))
+        r = classify(A, grid=grid)
+        lanes[0] = 0
+        assert check_quasi_homogeneity(A, *canonical_pair(r), grid=grid).passed
+        assert lanes[0] == 0
 
     @pytest.mark.parametrize("make, verdict", [
         (lambda: bisected_triple()[1], CLASS1),
@@ -355,11 +402,16 @@ class TestDiagonalReuse:
 
         monkeypatch.setattr(numerics, "bisect_increasing", recorded)
         A, grid = catalog_lookup("product"), make_grid(20)
-        classify(A, grid=grid)
-        cold = list(calls)
-        calls.clear()
-        classify(A, grid=grid)
-        assert calls == cold and cold
+        r = classify(A, grid=grid)
+        assert calls
+        sweeps = []
+        # the report's delta is warm; a declared copy keeps an inverse of its own
+        for delta in (r.delta, r.delta.declared()):
+            calls.clear()
+            assert check_quasi_homogeneity(A, PhiSpec.inverse_of(delta), PsiSpec.power(1.0),
+                                           grid=grid).passed
+            sweeps.append(list(calls))
+        assert sweeps[0] == sweeps[1] and sweeps[0]
 
     def test_the_function_is_still_collected(self):
         _, A = bisected_triple()
@@ -372,9 +424,8 @@ class TestDiagonalReuse:
         assert ref() is None
 
     def test_validation_shares_no_memo_with_the_function(self, monkeypatch):
-        # validate_triple and from_triple each build their own inverse of t.f:
-        # validation's roots would make the sweep's first tile hit too few
-        # targets to let the memo grow, and every later tile re-solve its own
+        # validate_triple and from_triple each build their own inverse of t.f,
+        # so validation leaves no roots in the memo the sweep's tiles grow
         lanes, grid, runs = counted_refine(monkeypatch), make_grid(40), []
         for validate_first in (False, True):
             t, A = bisected_triple()

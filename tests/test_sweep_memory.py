@@ -17,6 +17,11 @@ of them (4 MiB), so that the tiles of a sweep do not solve the same
 sections again: the classify of a triple whose f is bisected peaks at
 9.4 MiB at n = 200 with it, 8.1 MiB without.
 
+A Class-1 report keeps the memo of its ``delta``'s inverse, so that the
+re-verification of its canonical pair solves no root again: while the
+report of ``classify(product)`` at n = 400 is held, 0.75 MiB stays traced,
+and none once it is dropped. The bound is 1.5 MiB.
+
 The aggregation check holds one difference of its base-grid sample at a
 time: its traced peak at n = 400 is 1.1 times the sample (4.0 times when
 it held the range excess and both differences at once), and the bound is 2
@@ -31,11 +36,12 @@ held whole), and the bound is 2.5 times.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
 
-from qhagg import (CLASS1, GeneratorTriple, PhiSpec, PsiSpec, catalog_lookup,
+from qhagg import (CLASS1, GeneratorTriple, PhiSpec, PsiSpec, canonical_pair, catalog_lookup,
                    check_aggregation, check_quasi_homogeneity, classify, from_triple, make_grid,
                    unit_function_from_expr)
 from qhagg.algebra import AggregationFunction
@@ -46,6 +52,7 @@ N400_PEAK_LIMIT_MIB = 16
 STEP_PEAK_LIMIT_MIB = 5
 CLASSIFY_N100_PEAK_LIMIT_MIB = 5
 TRIPLE_N200_PEAK_LIMIT_MIB = 14
+HELD_REPORT_LIMIT_MIB = 1.5
 AGGREGATION_PEAK_LIMIT_SAMPLES = 2
 DISTINCT_PEAK_LIMIT_INPUTS = 2.5
 
@@ -112,6 +119,26 @@ def test_bisected_triple_classify_at_n200():
     report, peak = traced_peak(lambda: classify(A, grid=grid))
     assert report.verdict == CLASS1
     assert peak < TRIPLE_N200_PEAK_LIMIT_MIB * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_a_held_class1_report_at_n400():
+    grid = make_grid(400)
+    A = catalog_lookup("product")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = classify(A, grid=grid)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert check_quasi_homogeneity(A, *canonical_pair(report), grid=grid).passed
+        del report
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < HELD_REPORT_LIMIT_MIB * 2 ** 20, f"held {held / 2 ** 20:.2f} MiB"
+    assert left < held / 10, f"{left / 2 ** 20:.2f} MiB left after the report was dropped"
 
 
 def test_aggregation_check_at_n400():
