@@ -5,9 +5,9 @@ A UnitFunction carries *declared* structural flags next to its evaluator.
 Declarations are contracts, not measurements: numerical checks (module
 ``verify``) establish or refute them on grids. ``UnitFunction.invert``
 refuses a function that is not declared a continuous bijection and carries
-no closed-form inverse; ``numerics.inverse_evaluator``, which builds the
-inverse of ``from_triple`` and every numeric inverse of a PhiSpec, does not
-check.
+no closed-form inverse, and reads the one inverse the function keeps, which
+its PhiSpecs share. ``numerics.inverse_evaluator``, which builds that one
+and those of triples and of expression phis, does not check.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class UnitFunction:
 
     @functools.cached_property
     def _kept_inverse(self) -> Callable:
-        # read by invert and PhiSpec.inverse_of only: validate_triple and
-        # from_triple build their own, so the work of classifying A does not
-        # depend on whether its triple was validated first
+        # read through invert only (PhiSpec.inverse_of and from_unit_function
+        # call it): validate_triple and from_triple build their own, so the work
+        # of classifying A does not depend on whether its triple was validated
         return inverse_evaluator(self)
 
     def declared(self, **flags) -> "UnitFunction":
@@ -144,7 +144,7 @@ def unit_function_from_expr(text: str, *, increasing: bool = False,
     )
     g = grid or default_grid()
     _check_samples(f"expression {text!r}", u(g.points), g.points, u)
-    if continuous_bijection and expr.inverse is not None:
+    if continuous_bijection:
         u = dataclasses.replace(u, inverse=pinned_inverse(expr.inverse, u.evaluator))
     return u
 

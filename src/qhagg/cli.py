@@ -130,8 +130,6 @@ def parse_psi(text: str) -> PsiSpec:
 
 def parse_phi(text: str, b_flag: str | None) -> PhiSpec:
     """``b_flag`` is None or "inf", the one value the parser admits."""
-    if text.strip() == "x" and b_flag is None:
-        return PhiSpec.identity()
     return PhiSpec.from_expr(text, b=float("inf") if b_flag else None)
 
 

@@ -166,10 +166,10 @@ class _RootMemo:
 
     def recall(self, targets):
         """Overwrite each of the sorted distinct ``targets`` that is remembered
-        by its root, in place, and return the ascending indices of the rest;
-        None when nothing is remembered."""
+        by its root, in place, and return the ascending indices of the rest:
+        all of them, ``np.arange(targets.size)``, while the memo is empty."""
         if not self.keys.size:
-            return None
+            return np.arange(targets.size)
         miss = [np.empty(0, dtype=np.intp)]
         for b in range(0, targets.size, _REFINE_BLOCK):
             t = targets[b:b + _REFINE_BLOCK]
@@ -216,12 +216,12 @@ def bisect_increasing(fn, y, *, memo=None):
     have zero slope. Only the targets strictly between the endpoint images
     are sorted and refined, in blocks of ``_REFINE_BLOCK`` lanes.
 
-    ``memo`` is a ``_RootMemo`` of roots of this same ``fn`` from earlier
-    calls, which ``inverse_evaluator`` keeps for each numeric inverse it
-    builds: targets found in it take their remembered root and are not
-    refined, and the roots this call refines are added to it while it
-    pays (see ``_RootMemo.grows``). Since a root depends on its target
-    alone, a remembered root has the bits a fresh one would have.
+    Every call works through a ``_RootMemo`` of roots of this ``fn``: ``memo``,
+    which ``inverse_evaluator`` keeps per numeric inverse, else a fresh one
+    that a call without ``memo`` drops on return. Targets found in it take
+    their remembered root, and the roots the call refines are added while
+    that pays (``_RootMemo.grows``). A root depends on its target alone, so
+    a remembered root has the bits a fresh one would have.
 
     A lane that cannot converge returns NaN: a NaN target, a target inside
     a jump of ``fn`` (its bracket shrinks to adjacent floats), or one still
@@ -233,25 +233,24 @@ def bisect_increasing(fn, y, *, memo=None):
         return np.array(y, dtype=float)
     xs = _BRACKET_TABLE
     fs = elementwise(fn(xs), xs)  # a constant fn is read as a constant sample
+    memo = _RootMemo() if memo is None else memo
 
     def solve(flat):
         inner = (flat > fs[0]) & (flat < fs[-1])
         targets, at = distinct(flat[inner])
-        # the targets are overwritten by their roots: the remembered ones
-        # first, then the others (all, when ``miss`` is None) block by block
-        miss = None if memo is None else memo.recall(targets)
-        size = targets.size if miss is None else miss.size
-        keep = memo is not None and memo.grows(targets.size, size)
-        keys = (targets.copy() if miss is None else targets[miss]) if keep else None
+        # targets become their roots: the remembered ones, then the rest by blocks
+        miss = memo.recall(targets)
+        keep = memo.grows(targets.size, miss.size)
+        keys = targets[miss] if keep else None
         xs_, fs_ = xs, fs
-        if size and targets[0 if miss is None else miss[0]] < fs[1]:
+        if miss.size and targets[miss[0]] < fs[1]:
             xs_ = np.concatenate([xs[:1], _DEEP_TABLE, xs[1:]])
             fs_ = np.concatenate([fs[:1], np.asarray(fn(_DEEP_TABLE), dtype=float), fs[1:]])
-        for b in range(0, size, _REFINE_BLOCK):
-            i = slice(b, b + _REFINE_BLOCK) if miss is None else miss[b:b + _REFINE_BLOCK]
+        for b in range(0, miss.size, _REFINE_BLOCK):
+            i = miss[b:b + _REFINE_BLOCK]
             targets[i] = _refine(fn, targets[i], xs_, fs_)
         if keep:
-            memo.add(keys, targets if miss is None else targets[miss])
+            memo.add(keys, targets[miss])
         out = np.full(flat.shape, np.nan)
         out[inner] = targets[at]
         return out
@@ -283,12 +282,14 @@ def _solve_between(y, f_lo, f_hi, solve):
 def pinned_inverse(formula, fn):
     """``formula``, a closed-form inverse of the nondecreasing ``fn``, held to
     the contract of ``bisect_increasing`` at the ends fn(0) and fn(1) (which
-    may be inf), its roots clipped to [0, 1]; or None unless it returns each
-    point of the bracket table from its value within 2^-44, the bound a
-    numeric root is held to. So a formula that picks another branch than
-    fn's, or gives NaN, is never used; ``fn`` is sampled where bisection
-    would sample it.
+    may be inf), its roots clipped to [0, 1]; or None, without sampling ``fn``,
+    for a ``formula`` of None, and None unless it returns each point of the
+    bracket table from its value within 2^-44, the bound a numeric root is
+    held to: a formula that picks another branch than fn's, or gives NaN, is
+    never used. ``fn`` is sampled where bisection would sample it.
     """
+    if formula is None:
+        return None
     xs = _BRACKET_TABLE
     fs = elementwise(fn(xs), xs)
     f_lo, f_hi = float(fs[0]), float(fs[-1])
@@ -375,8 +376,8 @@ def invert_monotone(f, y):
 
     ``f`` is a UnitFunction. A closed-form inverse is used when present;
     otherwise the value is located by ``bisect_increasing`` on [0, 1]. Every
-    call reads the one inverse ``f`` keeps (``inverse_evaluator(f)``, built
-    on first use), so a root solved by one call is not refined by the next.
+    call, and every PhiSpec of ``f``, reads the one inverse ``f`` keeps
+    (``inverse_evaluator(f)``, built on first use) and so its one root memo.
     """
     if f.inverse is None and not f.continuous_bijection:
         raise ContractError(

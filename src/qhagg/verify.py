@@ -145,12 +145,12 @@ class PhiSpec:
 
     @staticmethod
     def from_unit_function(u: UnitFunction) -> "PhiSpec":
-        """Use a declared continuous bijection of [0, 1] directly (b = 1)."""
+        """Use a declared continuous bijection of [0, 1] directly (b = 1), with
+        the one inverse u keeps (``u.invert``), which ``inverse_of`` shares."""
         if not u.continuous_bijection:
             raise ContractError(
                 f"phi must be a declared continuous bijection, got {u!r}")
-        return PhiSpec(b=1.0, evaluator=u.evaluator, inverse=inverse_evaluator(u),
-                       name=u.name)
+        return PhiSpec(b=1.0, evaluator=u.evaluator, inverse=u.invert, name=u.name)
 
     @staticmethod
     def power(c: float) -> "PhiSpec":
@@ -218,26 +218,24 @@ class PhiSpec:
                 inner = np.asarray(eval_expr(e, np.where(x == 1.0, 0.0, x)), dtype=float)
                 return np.where(x == 1.0, np.inf, inner)
 
-            closed = expr.inverse and pinned_inverse(expr.inverse, evaluator)
-            if closed:
-                return PhiSpec(b=float("inf"), evaluator=evaluator, inverse=closed, name=text)
+            inverse = pinned_inverse(expr.inverse, evaluator)
+            if inverse is None:
+                def squash(v):
+                    # [0, inf] -> [0, 1], increasing, with inf -> 1
+                    v = np.asarray(v, dtype=float)
+                    with np.errstate(invalid="ignore"):
+                        return np.where(np.isinf(v), 1.0, v / (1.0 + v))
 
-            def squash(v):
-                # [0, inf] -> [0, 1], increasing, with inf -> 1
-                v = np.asarray(v, dtype=float)
-                with np.errstate(invalid="ignore"):
-                    return np.where(np.isinf(v), 1.0, v / (1.0 + v))
-
-            bounded = inverse_evaluator(UnitFunction(lambda x, ev=evaluator: squash(ev(x))))
-            return PhiSpec(b=float("inf"), evaluator=evaluator,
-                           inverse=lambda y: bounded(squash(y)), name=text)
+                bounded = inverse_evaluator(UnitFunction(lambda x, ev=evaluator: squash(ev(x))))
+                inverse = lambda y: bounded(squash(y))
+            return PhiSpec(b=float("inf"), evaluator=evaluator, inverse=inverse, name=text)
 
         def evaluator(x, e=expr):
             return np.asarray(eval_expr(e, x), dtype=float)
 
-        inverse = ((expr.inverse and pinned_inverse(expr.inverse, evaluator))
-                   or inverse_evaluator(UnitFunction(evaluator)))
-        return PhiSpec(b=float(vals[-1]), evaluator=evaluator, inverse=inverse, name=text)
+        u = UnitFunction(evaluator, inverse=pinned_inverse(expr.inverse, evaluator))
+        return PhiSpec(b=float(vals[-1]), evaluator=evaluator, inverse=inverse_evaluator(u),
+                       name=text)
 
 
 # ----------------------------------------------------------------- reports

@@ -140,6 +140,18 @@ class TestCheck:
                       "--grid", "50")
         assert res.returncode == 0
 
+    def test_every_phi_is_an_expression_and_its_label_echoes_the_text(self, capsys):
+        # the identity too: a padded ' x ' reads as x, labelled as typed,
+        # like a padded ' x^2 '
+        outs = []
+        for phi, c in (("x", 2), (" x ", 2), ("x^2", 4), (" x^2 ", 4)):
+            assert cli.main(["check", "--fn", "product", "--mode", "qh", "--psi", f"power:c={c}",
+                             "--phi", phi, "--grid", "20"]) == 0
+            outs.append(capsys.readouterr().out)
+        for bare, padded in (outs[:2], outs[2:]):
+            assert padded == bare.replace(" phi=x", " phi= x").replace(": max", " : max")
+        assert "phi= x : max" in outs[1] and "phi= x^2 : max" in outs[3]
+
     def test_failing_check_exits_one(self):
         res = run_cli("check", "--fn", "product", "--mode", "qh",
                       "--psi", "power:c=1", "--phi", "x", "--grid", "50")

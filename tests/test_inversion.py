@@ -312,6 +312,75 @@ class TestRootMemo:
             "invert_monotone requires a function declared continuous_bijection")
 
 
+class TestOnePath:
+    """Each inverse is reached one way: a bisection always runs through a
+    root memo, every PhiSpec of a function reads the one inverse it keeps,
+    and an absent closed form is never sampled."""
+
+    def test_a_call_without_memo_keeps_nothing_between_calls(self, monkeypatch):
+        memos, lanes = recorded_memos(monkeypatch), counted_refine(monkeypatch)
+        y = np.random.default_rng(12).uniform(size=3000)
+        first = bisect_increasing(square, y)
+        assert lanes[0] == y.size
+        again = bisect_increasing(square, y)
+        assert lanes[0] == 2 * y.size
+        assert np.array_equal(bits(again), bits(first))
+        # each call worked through a fresh memo of its own
+        assert len(memos) == 2 and memos[0] is not memos[1]
+
+    def test_a_second_phi_of_one_function_refines_no_lane(self, monkeypatch):
+        lanes = counted_refine(monkeypatch)
+        u = unit_function_from_expr("x*x", continuous_bijection=True)
+        assert u.inverse is None
+        A, psi, grid = catalog_lookup("product"), PsiSpec.power(2.0), make_grid(60)
+        runs, reports = [], []
+        for _ in range(2):
+            lanes[0] = 0
+            reports.append(check_quasi_homogeneity(A, PhiSpec.from_unit_function(u), psi,
+                                                   grid=grid))
+            runs.append(lanes[0])
+        assert runs[0] > 0 and runs[1] == 0
+        first, again = reports
+        # refuted (phi = x^2 scales the product with psi = power(4)), so the
+        # witness is compared too
+        assert not first.passed and str(again) == str(first)
+        assert again.witness == first.witness
+        assert bits([again.max_residual]).tolist() == bits([first.max_residual]).tolist()
+
+    def test_a_phi_and_invert_share_their_roots(self, monkeypatch):
+        lanes = counted_refine(monkeypatch)
+        u = unit_function_from_expr("x*x", continuous_bijection=True)
+        y = np.random.default_rng(13).uniform(size=500)
+        first = PhiSpec.from_unit_function(u).invert(y)
+        assert lanes[0] == y.size
+        assert np.array_equal(bits(u.invert(y)), bits(first))
+        assert lanes[0] == y.size
+
+    @pytest.mark.parametrize("make", [
+        lambda: PhiSpec.from_unit_function(
+            unit_function_from_expr("x*x", continuous_bijection=True)),
+        lambda: PhiSpec.from_expr("x*x"),
+        lambda: PhiSpec.from_expr("x*x/(1-x)", b=math.inf),
+    ], ids=["from_unit_function", "from_expr", "from_expr b=inf"])
+    def test_a_patched_bisection_sees_every_numeric_phi(self, monkeypatch, make):
+        calls, bisect = [], numerics.bisect_increasing
+
+        def recorded(fn, y, **kwargs):
+            calls.append(np.size(y))
+            return bisect(fn, y, **kwargs)
+
+        monkeypatch.setattr(numerics, "bisect_increasing", recorded)
+        phi = make()
+        y = np.random.default_rng(14).uniform(size=50)
+        assert np.isfinite(phi.invert(y)).all()
+        assert calls == [50]
+
+    def test_pinned_inverse_of_no_formula_is_none_and_never_samples(self):
+        fn = Counted(square)
+        assert numerics.pinned_inverse(None, fn) is None
+        assert fn.lanes == 0
+
+
 def bisected_triple():
     """from_triple of the expressions f=x*x, g=x, h=2x/(1+x), unvalidated:
     x occurs twice in f, so f and the diagonal invert numerically."""

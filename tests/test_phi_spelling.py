@@ -4,7 +4,8 @@ Each phi is given twice: with the catalog's closed-form inverse and as an
 expression, inverted in closed form where x occurs once (x^2) and
 numerically where it occurs more often (x*x). Both spellings must give
 the same report on every input, including values of A outside [0, 1] and
-NaN, where phi is read at A clipped to its domain.
+NaN, where phi is read at A clipped to its domain. The identity spelled
+``x`` gives the identity's report to the bit.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ SPELLINGS = {
     "x^3": (PhiSpec.power(3.0), PhiSpec.from_expr("x^3")),
     "x^0.5": (PhiSpec.power(0.5), PhiSpec.from_expr("x^0.5")),
     "identity": (PhiSpec.identity(), PhiSpec.from_expr("x*1")),
+    # the CLI spells the default --phi this way
+    "x": (PhiSpec.identity(), PhiSpec.from_expr("x")),
     "x*x": (PhiSpec.power(2.0), PhiSpec.from_expr("x*x")),
     "x*x*x": (PhiSpec.power(3.0), PhiSpec.from_expr("x*x*x")),
 }
@@ -65,3 +68,9 @@ def test_spellings_agree(phi_name, psi_name, a_name):
         assert math.isnan(numeric.max_residual)
     else:
         assert abs(closed.max_residual - numeric.max_residual) <= 1e-12
+    if phi_name == "x":
+        # the same report to the bit, so the CLI needs no identity of its own
+        assert str(closed) == str(numeric)
+        assert closed.witness == numeric.witness
+        assert (np.float64(closed.max_residual).view(np.int64)
+                == np.float64(numeric.max_residual).view(np.int64))

@@ -1,9 +1,12 @@
 """Inputs that used to escape as non-library exceptions or silent numbers."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhagg import (
     CLASS3,
@@ -26,8 +29,8 @@ from qhagg import (
     recover_psi,
     validate_triple,
 )
-from qhagg.algebra import AggregationFunction, UnitFunction
-from qhagg.cli import load_grid_csv, main
+from qhagg.algebra import COMBINERS, AggregationFunction, UnitFunction
+from qhagg.cli import build_aggregation, load_grid_csv, main
 from qhagg.exprparse import eval_expr, parse_expr
 from qhagg.numerics import bisect_increasing
 from qhagg.verify import ClassificationReport
@@ -170,3 +173,63 @@ def test_out_of_domain_parameter_is_a_domain_error(call, text):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == text
+
+
+# -- generated expression inputs --------------------------------------------
+
+NUMBERS = st.sampled_from(["0", "1", "2", "3", "0.5", "10", "0.0000001"])
+
+
+def _compose(parts):
+    return (st.tuples(parts, st.sampled_from("+-*/^"), parts).map(lambda t: "({}{}{})".format(*t))
+            | st.tuples(parts, NUMBERS).map(lambda t: f"{t[0]}^{t[1]}")
+            | parts.map(lambda e: f"-{e}"))
+
+
+#: increasing bijections of [0, 1] and their compositions, bijections too
+SECTIONS = st.recursive(
+    st.sampled_from(["x", "x^2", "x*x", "x^0.5", "x^0.05", "2*x/(1+x)", "(x+x^5)/2",
+                     "1-(1-x)^2", "x/(2-x)"]),
+    lambda parts: st.tuples(parts, parts).map(lambda t: t[0].replace("x", f"({t[1]})")),
+    max_leaves=3)
+
+#: half sections, the rest free expressions in x and arbitrary text
+EXPRESSIONS = st.one_of(SECTIONS, SECTIONS, st.recursive(st.just("x") | NUMBERS, _compose,
+                                                         max_leaves=6),
+                        st.text("x0123456789.+-*/^() ", max_size=10))
+
+SPECS = (st.builds(lambda c, u, v: {"kind": "expr2d", "combiner": c, "u": u, "v": v},
+                   st.sampled_from(sorted(COMBINERS)), EXPRESSIONS, EXPRESSIONS)
+         | st.builds(lambda f, g, h: {"kind": "triple", "f": f, "g": g, "h": h},
+                     EXPRESSIONS, EXPRESSIONS, EXPRESSIONS)
+         | st.builds(lambda g, h: {"kind": "boundary", "g": g, "h": h},
+                     EXPRESSIONS, EXPRESSIONS))
+
+PSIS = (st.floats(0.25, 4.0).map(PsiSpec.power)
+        | st.sampled_from([PsiSpec.step_at_zero(), PsiSpec.step_at_one()]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=SPECS, validate=st.booleans(), n=st.sampled_from([2, 3, 8, 12]),
+       phi=EXPRESSIONS, unbounded=st.booleans(), psi=PSIS)
+def test_generated_inputs_raise_only_library_errors(spec, validate, n, phi, unbounded, psi):
+    """Every check on any spec built from expressions either returns a
+    report or raises a ``QhaggError``, with warnings as errors."""
+    grid = make_grid(n)
+
+    def qh(A):
+        phi_spec = PhiSpec.from_expr(phi, b=float("inf") if unbounded else None)
+        return check_quasi_homogeneity(A, phi_spec, psi, grid=grid)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            A = build_aggregation(spec, validate=validate)
+        except QhaggError:
+            return
+        for check in (functools.partial(classify, grid=grid),
+                      functools.partial(check_aggregation, grid=grid), qh):
+            try:
+                check(A)
+            except QhaggError:
+                pass
