@@ -2,6 +2,8 @@
 and diagonal sections.
 
 A UnitFunction carries *declared* structural flags next to its evaluator.
+An AggregationFunction may declare the closed form of its diagonal, which
+``diagonal`` reads in place of the evaluator on (x, x).
 Declarations are contracts, not measurements: numerical checks (module
 ``verify``) establish or refute them on grids. ``UnitFunction.invert``
 refuses a function that is not declared a continuous bijection and carries
@@ -159,11 +161,17 @@ class AggregationFunction:
     The defining contract (A(0,0)=0, A(1,1)=1, nondecreasing in each
     argument) is checked, not assumed, for external inputs; see
     ``verify.check_aggregation``.
+
+    diagonal : optional closed form of x -> A(x, x), equal to
+        ``evaluator(x, x)`` bit for bit and never returning its argument;
+        read through ``diagonal(A)`` only, as ``inverse`` is read through
+        ``UnitFunction.invert``
     """
 
     evaluator: Callable
     provenance: str
     name: str = ""
+    diagonal: Callable | None = None
 
     def __call__(self, x, y):
         out = self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -174,15 +182,19 @@ class AggregationFunction:
 
 
 def diagonal(A: AggregationFunction) -> UnitFunction:
-    """The diagonal section x -> A(x, x).
+    """The diagonal section x -> A(x, x): A's declared closed form when it
+    has one (``AggregationFunction.diagonal``), else A's evaluator on (x, x).
 
     No declared flags are inherited; they must be re-established by checks
     (the diagonal of an aggregation function need not be a bijection).
+    Each call builds a new section, so nothing solved for it, such as the
+    roots of its inverse, is kept with A.
     """
-    return UnitFunction(
-        evaluator=lambda x: A.evaluator(np.asarray(x, float), np.asarray(x, float)),
-        name=f"diag({A.name or A.provenance})",
-    )
+    ev = A.diagonal
+    if ev is None:
+        def ev(x):
+            return A.evaluator(np.asarray(x, float), np.asarray(x, float))
+    return UnitFunction(evaluator=ev, name=f"diag({A.name or A.provenance})")
 
 
 COMBINERS: dict[str, Callable] = {

@@ -271,7 +271,8 @@ def class_boundary(g: UnitFunction, h: UnitFunction,
 def triple_of(A: AggregationFunction) -> GeneratorTriple:
     """Canonical triple of A: diagonal plus the two boundary sections.
 
-    Never fails. f carries no declared flags; g and h are declared
+    Never fails. f is ``diagonal(A)``, so A's declared diagonal when it has
+    one, and carries no declared flags; g and h are declared
     increasing, as every section of an aggregation function is. For a
     function with a bijective diagonal generated by some triple, this
     recovers it (f = A(x,x), g = A(1, .), h = A(., 1)); otherwise
@@ -300,16 +301,24 @@ def triple_of(A: AggregationFunction) -> GeneratorTriple:
 
 def _harmonic_min(x, y):
     # ties go to the min branch: 2x*x/(x+x) equals x only up to rounding,
-    # and exact ties keep the 101-point monotonicity check at tolerance 0
-    den = x + y
-    safe = np.where(den == 0.0, 1.0, den)
-    with np.errstate(invalid="ignore"):
-        harm = 2.0 * x * y / safe
+    # and exact ties keep the 101-point monotonicity check at tolerance 0.
+    # On [0, 1]^2, x < y implies x + y > 0; the one 0/0 lane, (0, 0), takes y.
+    # Arrays, so that Python floats divide by numpy's rules: (0.0, 0.0) is a
+    # NaN, not a ZeroDivisionError
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        harm = 2.0 * x * y / (x + y)
     return np.where(x < y, harm, y)
 
 
-def _named(evaluator, name: str) -> AggregationFunction:
-    return AggregationFunction(evaluator, provenance=name, name=name)
+def _same(x):
+    # the diagonal of an idempotent member, A(x, x) = x; a new array, never
+    # x itself, since bisection samples a read-only table through it
+    return np.array(x, dtype=float)
+
+
+def _named(evaluator, name: str, diagonal=None) -> AggregationFunction:
+    return AggregationFunction(evaluator, provenance=name, name=name, diagonal=diagonal)
 
 
 def _build_drastic(params):
@@ -334,13 +343,13 @@ def _build_boundary(params):
 
 
 _CATALOG = {
-    "min": ("minimum of the two arguments", (), lambda params: _named(np.minimum, "min")),
-    "max": ("maximum of the two arguments", (), lambda params: _named(np.maximum, "max")),
+    "min": ("minimum of the two arguments", (), lambda params: _named(np.minimum, "min", _same)),
+    "max": ("maximum of the two arguments", (), lambda params: _named(np.maximum, "max", _same)),
     "product": ("ordinary product x*y", (),
                 lambda params: _named(lambda x, y: x * y, "product")),
     "drastic": ("0 when both arguments are below 1, else min", (), _build_drastic),
     "harmonic_min": ("harmonic mean below the diagonal, min above", (),
-                     lambda params: _named(_harmonic_min, "harmonic_min")),
+                     lambda params: _named(_harmonic_min, "harmonic_min", _same)),
     "flat": ("constant 1 on (0,1]^2 with boundary constants alpha, beta",
              ("alpha", "beta"), _build_flat),
     "boundary_only": ("0 on [0,1)^2 with boundary sections g, h",

@@ -326,12 +326,15 @@ def _refine(fn, y, xs, fs):
         t = f1 / (f1 - f2)  # first step: linear interpolation
         for rnd in range(MAX_BISECT_ITER + 1):
             dx = x2 - x1
+            adx = np.abs(dx)
             a1, a2 = np.abs(f1), np.abs(f2)
             near1 = a1 <= a2
+            # not np.minimum(a1, a2): a NaN f1 with f2 == 0 is done, at x2
             best = np.where(near1, a1, a2)
-            done = (best == 0.0) | ((best <= INV_TOL) & (np.abs(dx) <= _X_TOL))
-            out[lane[done]] = np.where(near1, x1, x2)[done]
-            tl = np.minimum(0.5, 0.5 * _X_TOL / np.abs(dx))
+            done = (best == 0.0) | ((best <= INV_TOL) & (adx <= _X_TOL))
+            d = np.flatnonzero(done)
+            out[lane[d]] = np.where(near1[d], x1[d], x2[d])
+            tl = np.minimum(0.5, 0.5 * _X_TOL / adx)
             x = x1 + np.clip(t, tl, 1.0 - tl) * dx
             # a NaN residual or a bracket of adjacent floats cannot improve
             keep = ~done & ~np.isnan(f1) & (x != x1) & (x != x2)
@@ -346,10 +349,11 @@ def _refine(fn, y, xs, fs):
             x1, f1 = x, f
             # inverse quadratic interpolation where it is well conditioned
             xi = (x1 - x2) / (x3 - x2)
-            ph = (f1 - f2) / (f3 - f2)
+            f12, f32 = f1 - f2, f3 - f2
+            ph = f12 / f32
             iqi = (1.0 - np.sqrt(1.0 - xi) < ph) & (ph < np.sqrt(xi))
             al = (x3 - x1) / (x2 - x1)
-            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+            t = np.where(iqi, f1 / f12 * f3 / f32
                          - al * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
     return out
 

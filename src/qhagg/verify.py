@@ -164,20 +164,22 @@ class PhiSpec:
         psi = power(c), phi = (diagonal_inv)^c; with c = 1 this is the
         normalized pair (psi = id, phi = diagonal_inv). u_inv is the one
         inverse u keeps (``u.invert``), so every PhiSpec of one u, whatever
-        its c, shares one root memo.
+        its c, shares one root memo. With c = 1 the pair is u_inv and u
+        themselves: x^1 is x bit for bit, so no power pass is computed.
         """
         if not u.continuous_bijection:
             raise ContractError(
                 f"inverse_of needs a declared continuous bijection, got {u!r}")
         if not c > 0:
             raise DomainError(f"exponent must be positive, got {c}")
-        inv_c = 1.0 / c
+        if c == 1.0:
+            evaluator, inverse = u.invert, u.evaluator
+        else:
+            def evaluator(x, ui=u.invert, cc=c):
+                return np.power(np.asarray(ui(x), dtype=float), cc)
 
-        def evaluator(x, ui=u.invert, cc=c):
-            return np.power(np.asarray(ui(x), dtype=float), cc)
-
-        def inverse(y, ev=u.evaluator, e=inv_c):
-            return ev(np.power(np.asarray(y, dtype=float), e))
+            def inverse(y, ev=u.evaluator, e=1.0 / c):
+                return ev(np.power(np.asarray(y, dtype=float), e))
 
         return PhiSpec(b=1.0, evaluator=evaluator, inverse=inverse,
                        name=f"({u.name})^-1" + (f"^{c:g}" if c != 1.0 else ""))
@@ -795,6 +797,8 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
     and tolerance recorded in the report. A is sampled once, on the base
     grid, and every check reads that sample, the diagonal included.
 
+    ``delta`` is ``diagonal(A)``: A's declared diagonal when A has one
+    (``AggregationFunction.diagonal``), else A's evaluator on (x, x).
     A Class-1 report's ``delta`` keeps the roots its inverse solved for the
     scaling law, up to ``numerics._MEMO_CAP`` of them (4 MiB), so that
     re-verifying ``canonical_pair(report)`` reuses them; they are freed

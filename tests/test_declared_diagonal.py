@@ -1,0 +1,158 @@
+"""Declared diagonals and the Class-1 sweep's right-hand side, bit for bit.
+
+The idempotent catalog members (min, max, harmonic_min) declare their
+diagonal A(x, x) = x in closed form, which ``diagonal`` reads in place of
+the evaluator; the canonical pair computes no x^1 pass; harmonic_min
+computes no guarded denominator. None of it may move a bit of any value
+or report.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+
+from qhagg import (CLASS1, PhiSpec, canonical_pair, catalog_lookup, catalog_names,
+                   check_quasi_homogeneity, classify, diagonal, make_grid, numerics, triple_of)
+from qhagg.construct import _harmonic_min
+from qhagg.numerics import _BRACKET_TABLE
+
+IDEMPOTENT = ["min", "max", "harmonic_min"]
+
+PARAMS = {"flat": {"alpha": 0.2, "beta": 0.7}, "boundary_only": {"g": "x^2", "h": "x"}}
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def old_harmonic_min(x, y):
+    """The formula before the guarded denominator was dropped (reference)."""
+    den = x + y
+    safe = np.where(den == 0.0, 1.0, den)
+    with np.errstate(invalid="ignore"):
+        harm = 2.0 * x * y / safe
+    return np.where(x < y, harm, y)
+
+
+def inputs():
+    """Every input the declared diagonals are held to: three grids, 10^5
+    seeded points, and the edge values (signed zeros, 1, NaN, subnormals)."""
+    yield from (make_grid(n).points for n in (50, 100, 400))
+    yield np.random.default_rng(20261019).uniform(0.0, 1.0, 100_000)
+    tiny = np.finfo(float).smallest_subnormal
+    yield np.array([0.0, -0.0, 1.0, np.nan, tiny, 2.0 * tiny, 0.5 * np.finfo(float).tiny,
+                    np.nextafter(np.finfo(float).tiny, 0.0)])
+
+
+class TestDeclaredDiagonal:
+    def test_only_the_idempotent_members_declare_one(self):
+        declared = [name for name in catalog_names()
+                    if catalog_lookup(name, PARAMS.get(name)).diagonal is not None]
+        assert declared == IDEMPOTENT
+
+    @pytest.mark.parametrize("name", IDEMPOTENT)
+    def test_equal_to_the_evaluator_bit_for_bit(self, name):
+        A = catalog_lookup(name)
+        for x in inputs():
+            out = A.diagonal(x)
+            np.testing.assert_array_equal(bits(out), bits(A.evaluator(x, x)))
+            assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("name", IDEMPOTENT)
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.3, 1.0, float("nan"), 5e-324])
+    def test_scalars_too(self, name, x):
+        A = catalog_lookup(name)
+        assert bits([A.diagonal(x)]) == bits([A.evaluator(x, x)])
+        assert bits([diagonal(A)(x)]) == bits([A(x, x)])
+        assert isinstance(diagonal(A)(x), float)
+
+    @pytest.mark.parametrize("name", IDEMPOTENT)
+    def test_never_returns_the_read_only_table(self, name):
+        out = diagonal(catalog_lookup(name)).evaluator(_BRACKET_TABLE)
+        assert out.flags.writeable and not np.shares_memory(out, _BRACKET_TABLE)
+        np.testing.assert_array_equal(bits(out), bits(_BRACKET_TABLE))
+
+    @pytest.mark.parametrize("name", IDEMPOTENT)
+    def test_diagonal_and_triple_of_read_it(self, name):
+        A = catalog_lookup(name)
+        assert diagonal(A).evaluator is A.diagonal
+        assert triple_of(A).f.evaluator is A.diagonal
+        plain = dataclasses.replace(A, diagonal=None)
+        np.testing.assert_array_equal(bits(diagonal(plain)(make_grid(100).points)),
+                                      bits(make_grid(100).points))
+
+    def test_each_call_builds_a_new_section(self):
+        A = catalog_lookup("harmonic_min")
+        assert diagonal(A) is not diagonal(A)
+        assert classify(A).delta is not classify(A).delta
+
+    @pytest.mark.parametrize("n", [50, 100])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_reports_are_those_of_the_evaluator(self, name, n):
+        A, grid = catalog_lookup(name, PARAMS.get(name)), make_grid(n)
+        declared, plain = classify(A, grid=grid), classify(
+            dataclasses.replace(A, diagonal=None), grid=grid)
+        assert str(declared) == str(plain)
+        assert bits([declared.max_residual]) == bits([plain.max_residual])
+
+    def test_a_patched_bisection_still_sees_the_diagonal_inverted(self, monkeypatch):
+        calls, bisect = [], numerics.bisect_increasing
+
+        def recorded(fn, y, **kwargs):
+            calls.append(np.size(y))
+            return bisect(fn, y, **kwargs)
+
+        monkeypatch.setattr(numerics, "bisect_increasing", recorded)
+        A, grid = catalog_lookup("harmonic_min"), make_grid(20)
+        r = classify(A, grid=grid)
+        assert r.verdict == CLASS1 and calls
+        calls.clear()
+        assert check_quasi_homogeneity(A, *canonical_pair(r), grid=grid).passed
+        assert calls
+
+
+class TestHarmonicMin:
+    def test_the_formula_is_unchanged_on_the_base_grid_and_a_sweep_cube(self):
+        p = make_grid(100).points
+        lam = p[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in ((p[:, None], p[None, :]),
+                         (lam * p[None, :, None], lam * p[None, None, :])):
+                np.testing.assert_array_equal(bits(_harmonic_min(x, y)),
+                                              bits(old_harmonic_min(x, y)))
+
+    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (0.0, 0.5), (0.25, 0.75), (0.5, 0.5),
+                                      (0.75, 0.25), (float("nan"), 0.5), (0.5, float("nan"))])
+    def test_python_floats_raise_nothing(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bits([_harmonic_min(x, y)]) == bits([old_harmonic_min(x, y)])
+
+
+class TestNoPowerPass:
+    def test_power_one_is_the_identity_bit_for_bit(self):
+        # PhiSpec.inverse_of(u, 1.0) skips np.power(v, 1.0); this pins that
+        # the skipped pass returned v, on this numpy
+        rng = np.random.default_rng(7)
+        info = np.finfo(float)
+        v = np.concatenate([
+            rng.uniform(0.0, 1.0, 1_000_000),
+            np.exp2(rng.uniform(-1074.0, 0.0, 100_000)),  # down to the subnormals
+            rng.uniform(0.5, 1.0, 100_000) * info.max,
+            [0.0, -0.0, np.nan, np.inf, -np.inf, info.smallest_subnormal, info.tiny, info.max],
+        ])
+        np.testing.assert_array_equal(bits(np.power(v, 1.0)), bits(v))
+
+    def test_the_normalized_pair_is_u_inv_and_u(self):
+        u = classify(catalog_lookup("product")).delta
+        phi = PhiSpec.inverse_of(u)
+        assert phi.evaluator == u.invert and phi.inverse is u.evaluator
+        assert phi.name == f"({u.name})^-1"
+        squared = PhiSpec.inverse_of(u, 2.0)
+        p = make_grid(50).points
+        np.testing.assert_array_equal(bits(squared(p)), bits(np.power(phi(p), 2.0)))
