@@ -163,9 +163,10 @@ class AggregationFunction:
     ``verify.check_aggregation``.
 
     diagonal : optional closed form of x -> A(x, x), equal to
-        ``evaluator(x, x)`` bit for bit and never returning its argument;
-        read through ``diagonal(A)`` only, as ``inverse`` is read through
-        ``UnitFunction.invert``
+        ``evaluator(x, x)`` bit for bit on [0, 1] and never returning its
+        argument; read through ``diagonal(A)`` only, as ``inverse`` is read
+        through ``UnitFunction.invert``. The idempotent catalog members
+        declare x, a triple-generated function f(x * f_inv(h(1)))
     """
 
     evaluator: Callable
@@ -183,7 +184,8 @@ class AggregationFunction:
 
 def diagonal(A: AggregationFunction) -> UnitFunction:
     """The diagonal section x -> A(x, x): A's declared closed form when it
-    has one (``AggregationFunction.diagonal``), else A's evaluator on (x, x).
+    has one (``AggregationFunction.diagonal``: the idempotent catalog members
+    and every triple-generated function), else A's evaluator on (x, x).
 
     No declared flags are inherited; they must be re-established by checks
     (the diagonal of an aggregation function need not be a bijection).

@@ -24,6 +24,7 @@ The built-in catalog (``catalog_lookup``) names members of all three classes.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -160,6 +161,12 @@ def from_triple(t: GeneratorTriple, *, validate: bool = True) -> AggregationFunc
     for invalid triples; that is how one demonstrates the ratio conditions
     are not vacuous (the raw formula then fails monotonicity). Validation
     runs ``validate_triple`` with its defaults.
+
+    The result declares its diagonal, x -> f(x * f_inv(h(1))) and 0 at 0,
+    which is the formula on (x, x) bit for bit and f for a valid triple;
+    f_inv(h(1)) is solved on the first diagonal call, so building A
+    evaluates no section. A lane whose f_inv root is NaN is NaN in A, and
+    f is not called on it.
     """
     if validate:
         report = validate_triple(t)
@@ -187,12 +194,33 @@ def from_triple(t: GeneratorTriple, *, validate: bool = True) -> AggregationFunc
         r[lower] = g_ev(r[lower])
         np.clip(r, 0.0, 1.0, out=r)
         np.multiply(big, f_inv(r), out=big)
-        return np.where((x == 0.0) & (y == 0.0), 0.0, f_ev(big))
+        return np.where((x == 0.0) & (y == 0.0), 0.0, f_of(big))
+
+    def f_of(big):
+        # f, except on lanes whose f_inv root is NaN: those stay NaN, a
+        # witness for the checks, where an expression f would raise
+        nan = np.isnan(big)
+        if not nan.any():
+            return f_ev(big)
+        out = np.full(big.shape, np.nan)
+        out[~nan] = f_ev(big[~nan])
+        return out
+
+    @functools.cache
+    def scale():
+        # x / x is exactly 1 for x != 0, so A(x, x) = f(x * scale()); a
+        # lane's root depends on its target alone, so one root serves all
+        return f_inv(np.clip(h_ev(np.ones(1)), 0.0, 1.0))[0]
+
+    def diag(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 0.0, 0.0, f_of(np.asarray(x * scale())))
 
     return AggregationFunction(
         evaluator=evaluate,
         provenance="triple-generated",
         name=f"triple(f={t.f.name}, g={t.g.name}, h={t.h.name})",
+        diagonal=diag,
     )
 
 

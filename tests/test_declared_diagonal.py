@@ -1,10 +1,11 @@
 """Declared diagonals and the Class-1 sweep's right-hand side, bit for bit.
 
 The idempotent catalog members (min, max, harmonic_min) declare their
-diagonal A(x, x) = x in closed form, which ``diagonal`` reads in place of
-the evaluator; the canonical pair computes no x^1 pass; harmonic_min
-computes no guarded denominator. None of it may move a bit of any value
-or report.
+diagonal A(x, x) = x in closed form, and every triple-generated function
+declares f(x * f_inv(h(1))), which is f for a valid triple; ``diagonal``
+reads them in place of the evaluator. The canonical pair computes no x^1
+pass; harmonic_min computes no guarded denominator. None of it may move a
+bit of any value or report.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qhagg import (CLASS1, PhiSpec, canonical_pair, catalog_lookup, catalog_names,
-                   check_quasi_homogeneity, classify, diagonal, make_grid, numerics, triple_of)
+from conftest import random_valid_triples, strip_inverse
+from qhagg import (CLASS1, NOT_QH, EvalError, GeneratorTriple, PhiSpec, UnitFunction,
+                   canonical_pair, catalog_lookup, catalog_names, check_aggregation,
+                   check_quasi_homogeneity, classify, diagonal, from_triple, make_grid,
+                   numerics, triple_of, unit_function_from_expr)
 from qhagg.construct import _harmonic_min
 from qhagg.numerics import _BRACKET_TABLE
 
@@ -50,6 +54,8 @@ def inputs():
 
 class TestDeclaredDiagonal:
     def test_only_the_idempotent_members_declare_one(self):
+        """Of the catalog members, that is: every triple-generated function
+        declares one too (``TestTripleDiagonal``)."""
         declared = [name for name in catalog_names()
                     if catalog_lookup(name, PARAMS.get(name)).diagonal is not None]
         assert declared == IDEMPOTENT
@@ -113,6 +119,136 @@ class TestDeclaredDiagonal:
         calls.clear()
         assert check_quasi_homogeneity(A, *canonical_pair(r), grid=grid).passed
         assert calls
+
+
+def expression_triple(f, g, h):
+    """The triple the CLI builds from the expressions f, g and h."""
+    return GeneratorTriple(f=unit_function_from_expr(f, continuous_bijection=True),
+                           g=unit_function_from_expr(g, increasing=True),
+                           h=unit_function_from_expr(h, increasing=True))
+
+
+#: f jumps from 0 to 0.99993 between 0 and the smallest subnormal, so the
+#: f_inv root of every target inside the jump, such as h(0.5) = 0.5 at
+#: A(0.5, 1.0), is NaN
+NAN_ROOT = ("x^0.0000001", "x/(2-x)", "x")
+
+TRIPLES = {
+    "expression": expression_triple("x^2", "x", "2*x/(1+x)"),
+    # h(1) = 0.9, so the diagonal is f(x * f_inv(0.9)), not f
+    "h=0.9*x": expression_triple("x^2", "x", "0.9*x"),
+    # x occurs twice in f, so f inverts by bisection
+    "bisected f": expression_triple("x*x", "x", "2*x/(1+x)"),
+    "nan root": expression_triple(*NAN_ROOT),
+    # f_inv(h(1)) = f_inv(0.5) is NaN, so the diagonal is NaN off 0
+    "nan scale": expression_triple("x^0.0000001", "x", "0.5*x"),
+    **{f"seeded {k}": t for k, t in enumerate(random_valid_triples(20))},
+}
+
+
+def verdict_triples():
+    """The triples of tests/test_classify_verdicts.py, three of them with f
+    inverted by bisection; the verdict corpus holds none."""
+    seeded = random_valid_triples(6)
+    return seeded + [GeneratorTriple(f=strip_inverse(t.f), g=t.g, h=t.h) for t in seeded[:3]]
+
+
+def counted(u: UnitFunction, label: str, calls: list) -> UnitFunction:
+    def evaluator(x):
+        calls.append(label)
+        return u.evaluator(x)
+    return dataclasses.replace(u, evaluator=evaluator)
+
+
+class TestTripleDiagonal:
+    @pytest.mark.parametrize("name", TRIPLES)
+    def test_equal_to_the_evaluator_bit_for_bit(self, name):
+        A = from_triple(TRIPLES[name], validate=False)
+        for x in inputs():
+            try:
+                expected = A.evaluator(x, x)
+            except EvalError:
+                # an expression section refuses a NaN argument; the diagonal
+                # reads h at 1 only, so it gives NaN there instead
+                nan = np.isnan(x)
+                assert nan.any() and np.isnan(A.diagonal(x[nan])).all()
+                x = x[~nan]
+                expected = A.evaluator(x, x)
+            out = A.diagonal(x)
+            np.testing.assert_array_equal(bits(out), bits(expected))
+            assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("name", ["expression", "h=0.9*x", "bisected f", "seeded 0"])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.3, 1.0, 5e-324])
+    def test_scalars_too(self, name, x):
+        A = from_triple(TRIPLES[name], validate=False)
+        assert np.ndim(A.diagonal(x)) == 0
+        assert bits([diagonal(A)(x)]) == bits([A(x, x)])
+        assert isinstance(diagonal(A)(x), float)
+
+    def test_a_valid_triple_reads_f_and_an_invalid_one_its_scale(self):
+        p = make_grid(100).points
+        for name in ("expression", "bisected f", "seeded 3"):
+            t = TRIPLES[name]
+            np.testing.assert_array_equal(bits(from_triple(t).diagonal(p)), bits(t.f(p)))
+        A = from_triple(TRIPLES["h=0.9*x"], validate=False)
+        assert A.diagonal(1.0) == A(1.0, 1.0) == pytest.approx(0.9, abs=1e-15)
+        assert np.isnan(from_triple(TRIPLES["nan scale"], validate=False).diagonal(p[1:])).all()
+
+    def test_diagonal_and_triple_of_read_it(self):
+        A = from_triple(TRIPLES["expression"])
+        assert diagonal(A).evaluator is A.diagonal
+        assert triple_of(A).f.evaluator is A.diagonal
+
+    def test_building_evaluates_no_section(self):
+        calls = []
+        t = TRIPLES["bisected f"]
+        A = from_triple(GeneratorTriple(f=counted(t.f, "f", calls), g=counted(t.g, "g", calls),
+                                        h=counted(t.h, "h", calls)), validate=False)
+        assert calls == []
+        A.diagonal(make_grid(10).points)
+        # h once, at 1; f to invert h(1), then on the lanes; g never
+        assert calls.count("h") == 1 and "g" not in calls
+        calls.clear()
+        A.diagonal(make_grid(10).points)
+        assert calls == ["f"]
+
+    @pytest.mark.parametrize("n", [50, 100])
+    @pytest.mark.parametrize("k", range(9))
+    def test_reports_are_those_of_the_evaluator(self, k, n):
+        A, grid = from_triple(verdict_triples()[k]), make_grid(n)
+        declared, plain = classify(A, grid=grid), classify(
+            dataclasses.replace(A, diagonal=None), grid=grid)
+        assert declared.verdict == CLASS1
+        assert str(declared) == str(plain)
+        assert bits([declared.max_residual]) == bits([plain.max_residual])
+
+
+class TestNanRoot:
+    """A lane whose f_inv root is NaN is NaN in A, and f never sees it: the
+    checks report it as a witness, where an expression f would raise."""
+
+    def test_f_is_not_called_on_a_nan_lane(self):
+        seen = []
+        t = expression_triple(*NAN_ROOT)
+
+        def f(x):
+            seen.append(np.asarray(x, dtype=float).copy())
+            return t.f.evaluator(x)
+
+        A = from_triple(dataclasses.replace(t, f=dataclasses.replace(t.f, evaluator=f)),
+                        validate=False)
+        out = A.evaluator(np.array([0.0, 0.5, 1.0, 0.5]), np.array([0.0, 1.0, 1.0, 0.5]))
+        assert np.isnan(out[1]) and out[0] == 0.0 and not np.isnan(out[2:]).any()
+        assert not any(np.isnan(x).any() for x in seen)
+
+    def test_the_checks_report_a_witness(self):
+        A, grid = from_triple(expression_triple(*NAN_ROOT), validate=False), make_grid(2)
+        agg = check_aggregation(A, grid=grid)
+        assert not agg.passed and agg.reason == "A(0.5,1.0)=nan outside [0,1]"
+        r = classify(A, grid=grid)
+        assert r.verdict == NOT_QH
+        assert r.reason == "not an aggregation function: A(0.5,1.0)=nan outside [0,1]"
 
 
 class TestHarmonicMin:

@@ -18,6 +18,9 @@ the conftest families; grids are small (n in {8, 12, 20}).
 * The ratio conditions are not vacuous: a triple whose nonincreasing-ratio
   condition fails at n, built with ``validate=False``, is refuted at n as
   not an aggregation function.
+* Verdicts are stable under n -> 2n: a triple that ``from_triple``
+  accepts, and every catalog member, gets the same verdict at n and 2n
+  (n in {4, 6, 10}).
 * The discontinuous classes take any phi: ``class_flat`` and
   ``class_boundary`` members meet the scaling law with their step psi for
   phi = x^c, (2x/(1+x))_inv^c or the expression x^c, c in [0.25, 4].
@@ -33,10 +36,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhagg import (CLASS1, NOT_QH, ContractError, GeneratorTriple, PhiSpec, PsiSpec,
-                   bounded_rational, canonical_pair, catalog_lookup, check_homogeneous_order,
-                   check_quasi_homogeneity, class_boundary, class_flat, classify,
-                   fit_power_exponent, from_triple, identity, make_grid, power_function,
-                   validate_triple)
+                   bounded_rational, canonical_pair, catalog_lookup, catalog_names,
+                   check_homogeneous_order, check_quasi_homogeneity, class_boundary,
+                   class_flat, classify, fit_power_exponent, from_triple, identity,
+                   make_grid, power_function, validate_triple)
 
 MEMBERS = {name: catalog_lookup(name) for name in ("min", "max", "product", "harmonic_min")}
 MEMBERS.update((f"triple{i}", from_triple(t)) for i, t in enumerate(random_valid_triples(6)))
@@ -114,6 +117,31 @@ def test_a_triple_that_breaks_a_ratio_condition_is_not_an_aggregation_function(c
     r = classify(from_triple(t, validate=False), grid=grid, tol=tol)
     assert r.verdict == NOT_QH, (repr(t), n, str(r))
     assert r.reason.startswith("not an aggregation function: "), (repr(t), n, str(r))
+
+
+CATALOG_PARAMS = {"flat": {"alpha": 0.2, "beta": 0.7}, "boundary_only": {"g": "x^2", "h": "x"}}
+HALF_SIZES = st.sampled_from([4, 6, 10])
+
+
+def same_verdict_at_n_and_2n(A, n):
+    coarse, fine = (classify(A, grid=make_grid(m)) for m in (n, 2 * n))
+    assert coarse.verdict == fine.verdict, (repr(A), n, str(coarse), str(fine))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.5, 2.0), g=SECTIONS, h=SECTIONS, n=HALF_SIZES)
+def test_an_accepted_triple_keeps_its_verdict_from_n_to_2n(c, g, h, n):
+    try:
+        A = from_triple(GeneratorTriple(f=power_function(c), g=g, h=h))
+    except ContractError:
+        assume(False)
+    same_verdict_at_n_and_2n(A, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(catalog_names()), n=HALF_SIZES)
+def test_a_catalog_member_keeps_its_verdict_from_n_to_2n(name, n):
+    same_verdict_at_n_and_2n(catalog_lookup(name, CATALOG_PARAMS.get(name)), n)
 
 
 PHIS = {
