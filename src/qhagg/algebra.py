@@ -65,10 +65,10 @@ class UnitFunction:
 
     @functools.cached_property
     def _kept_inverse(self) -> Callable:
-        # read through invert only (PhiSpec.inverse_of and from_unit_function
-        # call it): validate_triple and from_triple build their own, so the work
-        # of classifying A does not depend on whether its triple was validated
-        return inverse_evaluator(self)
+        # read through invert only, so PhiSpec.inverse_of and from_unit_function
+        # share its memo; validate_triple and from_triple build their own, so the
+        # work of classifying A does not depend on whether its triple was validated
+        return inverse_evaluator(self, remember=True)
 
     def declared(self, **flags) -> "UnitFunction":
         """Copy with declaration flags re-established after external checks."""

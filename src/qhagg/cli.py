@@ -128,11 +128,6 @@ def parse_psi(text: str) -> PsiSpec:
     raise QhaggError(f"psi must be 'power:c=<num>', 'step0' or 'step1', got {text!r}")
 
 
-def parse_phi(text: str, b_flag: str | None) -> PhiSpec:
-    """``b_flag`` is None or "inf", the one value the parser admits."""
-    return PhiSpec.from_expr(text, b=float("inf") if b_flag else None)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -158,7 +153,8 @@ def cmd_check(args) -> int:
     elif args.mode == "qh":
         if args.psi is None:
             raise QhaggError("--mode qh requires --psi")
-        psi, phi = parse_psi(args.psi), parse_phi(args.phi, args.phi_b)
+        b = None if args.phi_b is None else float(args.phi_b)  # "inf", the one value admitted
+        psi, phi = parse_psi(args.psi), PhiSpec.from_expr(args.phi, b=b)
         report = verify.check_quasi_homogeneity(A, phi, psi, grid=grid, **tol)
         passed, residual = report.passed, report.max_residual
     else:

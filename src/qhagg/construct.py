@@ -68,6 +68,8 @@ class GeneratorTriple:
 
 @dataclass(frozen=True)
 class ConditionCheck:
+    """One condition of ``validate_triple``: passed, or its witness and detail."""
+
     name: str
     passed: bool
     witness: tuple | None = None
@@ -82,6 +84,8 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class TripleValidationReport:
+    """Every condition of a generator triple, measured on a grid n at tolerance tol."""
+
     conditions: tuple[ConditionCheck, ...]
     grid_n: int
     tol: float
@@ -175,7 +179,7 @@ def from_triple(t: GeneratorTriple, *, validate: bool = True) -> AggregationFunc
                 "invalid generator triple:\n" + str(report), report=report)
 
     f_ev, g_ev, h_ev = t.f.evaluator, t.g.evaluator, t.h.evaluator
-    f_inv = inverse_evaluator(t.f)
+    f_inv = inverse_evaluator(t.f, remember=True)
 
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)

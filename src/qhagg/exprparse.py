@@ -238,12 +238,11 @@ def _binary(op: str, left: Callable, right: Callable) -> Callable:
     def power(x):
         base = np.asarray(left(x), dtype=float)
         expo = np.asarray(right(x), dtype=float)
-        bad = (base < 0.0) & (np.floor(expo) != expo)
-        if np.any(bad):
+        # a check runs only if its exponent condition holds somewhere (x^2: neither)
+        if np.any(frac := np.floor(expo) != expo) and np.any(bad := (base < 0.0) & frac):
             raise EvalError("negative base with fractional exponent "
                             f"(at x={_first_where(bad, x)!r})")
-        bad = (base == 0.0) & (expo < 0.0)
-        if np.any(bad):
+        if np.any(neg := expo < 0.0) and np.any(bad := (base == 0.0) & neg):
             raise EvalError("division by zero: 0 to a negative power "
                             f"(at x={_first_where(bad, x)!r})")
         return np.power(base, expo)

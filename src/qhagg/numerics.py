@@ -147,8 +147,8 @@ def distinct(values):
     return np.concatenate(parts), at
 
 
-#: A numeric inverse remembers at most this many roots (4 MiB of targets
-#: and roots). Classifying a bisected triple at n = 400 remembers 202,952
+#: A kept root memo holds at most this many roots (4 MiB of targets and
+#: roots). Classifying a bisected triple at n = 400 remembers 202,952
 #: sections; a cap of 2^15 there made the sweep nearly twice as slow.
 _MEMO_CAP = 1 << 18
 
@@ -156,9 +156,9 @@ _MEMO_CAP = 1 << 18
 class _RootMemo:
     """Roots of one function, remembered across calls of ``bisect_increasing``.
 
-    ``keys`` holds sorted distinct targets, compared by ``==`` as
-    ``distinct`` compares them, and ``roots`` their roots; never a NaN root,
-    and at most ``_MEMO_CAP`` of them.
+    Kept only by inverses whose roots are asked for again (``inverse_evaluator``).
+    ``keys`` holds sorted distinct targets, compared by ``==`` as ``distinct``
+    compares them, and ``roots`` their roots; never NaN, at most ``_MEMO_CAP``.
     """
 
     def __init__(self):
@@ -166,39 +166,28 @@ class _RootMemo:
 
     def recall(self, targets):
         """Overwrite each of the sorted distinct ``targets`` that is remembered
-        by its root, in place, and return the ascending indices of the rest:
-        all of them, ``np.arange(targets.size)``, while the memo is empty."""
-        if not self.keys.size:
-            return np.arange(targets.size)
-        miss = [np.empty(0, dtype=np.intp)]
-        for b in range(0, targets.size, _REFINE_BLOCK):
-            t = targets[b:b + _REFINE_BLOCK]
+        by its root, in place, and return the ascending indices of the rest."""
+        hit = np.zeros(targets.size, dtype=bool)
+        for b in range(0, targets.size if self.keys.size else 0, _REFINE_BLOCK):
+            t, h = targets[b:b + _REFINE_BLOCK], hit[b:b + _REFINE_BLOCK]
             k = np.minimum(np.searchsorted(self.keys, t), self.keys.size - 1)
-            hit = self.keys[k] == t
-            t[hit] = self.roots[k[hit]]
-            miss.append(np.flatnonzero(~hit) + b)
-        return np.concatenate(miss)
-
-    def grows(self, size, misses):
-        """Whether a call of ``size`` targets, ``misses`` of them not
-        remembered, adds its new roots: while that pays, that is while the
-        memo holds fewer roots than the call misses (it is empty, or a
-        smaller call filled it) or at least half of the call's targets were
-        remembered, and only within the cap."""
-        return ((self.keys.size < misses or 2 * misses <= size)
-                and self.keys.size + misses <= _MEMO_CAP)
+            np.equal(self.keys[k], t, out=h)
+            t[h] = self.roots[k[h]]
+        return np.flatnonzero(~hit)
 
     def add(self, keys, roots):
-        """Merge sorted distinct targets absent from the memo, and their roots."""
+        """Merge sorted distinct targets absent from the memo, and their roots:
+        every one whose root is not NaN, the smallest first, up to the cap."""
         solved = ~np.isnan(roots)
         if not solved.all():
             keys, roots = keys[solved], roots[solved]
+        room = _MEMO_CAP - self.keys.size
         if not self.keys.size:
-            self.keys, self.roots = keys, roots
-        elif keys.size:
-            at = np.searchsorted(self.keys, keys)
-            self.keys = np.insert(self.keys, at, keys)
-            self.roots = np.insert(self.roots, at, roots)
+            self.keys, self.roots = keys[:room], roots[:room]
+        elif keys.size and room:
+            at = np.searchsorted(self.keys, keys[:room])
+            self.keys = np.insert(self.keys, at, keys[:room])
+            self.roots = np.insert(self.roots, at, roots[:room])
 
 
 def bisect_increasing(fn, y, *, memo=None):
@@ -216,12 +205,11 @@ def bisect_increasing(fn, y, *, memo=None):
     have zero slope. Only the targets strictly between the endpoint images
     are sorted and refined, in blocks of ``_REFINE_BLOCK`` lanes.
 
-    Every call works through a ``_RootMemo`` of roots of this ``fn``: ``memo``,
-    which ``inverse_evaluator`` keeps per numeric inverse, else a fresh one
-    that a call without ``memo`` drops on return. Targets found in it take
-    their remembered root, and the roots the call refines are added while
-    that pays (``_RootMemo.grows``). A root depends on its target alone, so
-    a remembered root has the bits a fresh one would have.
+    ``memo``, the ``_RootMemo`` an inverse of ``inverse_evaluator`` may keep,
+    carries roots of ``fn`` across calls: a remembered target takes its root,
+    and every root the call refines is added, within the memo's cap. A root
+    depends on its target alone, so a remembered root has the bits a fresh
+    one would have. A call without ``memo`` does no memo work at all.
 
     A lane that cannot converge returns NaN: a NaN target, a target inside
     a jump of ``fn`` (its bracket shrinks to adjacent floats), or one still
@@ -233,24 +221,22 @@ def bisect_increasing(fn, y, *, memo=None):
         return np.array(y, dtype=float)
     xs = _BRACKET_TABLE
     fs = elementwise(fn(xs), xs)  # a constant fn is read as a constant sample
-    memo = _RootMemo() if memo is None else memo
 
     def solve(flat):
         inner = (flat > fs[0]) & (flat < fs[-1])
         targets, at = distinct(flat[inner])
         # targets become their roots: the remembered ones, then the rest by blocks
-        miss = memo.recall(targets)
-        keep = memo.grows(targets.size, miss.size)
-        keys = targets[miss] if keep else None
+        miss = slice(None) if memo is None else memo.recall(targets)
+        roots = targets[miss]  # targets itself without a memo, else a copy
         xs_, fs_ = xs, fs
-        if miss.size and targets[miss[0]] < fs[1]:
+        if roots.size and roots[0] < fs[1]:
             xs_ = np.concatenate([xs[:1], _DEEP_TABLE, xs[1:]])
             fs_ = np.concatenate([fs[:1], np.asarray(fn(_DEEP_TABLE), dtype=float), fs[1:]])
-        for b in range(0, miss.size, _REFINE_BLOCK):
-            i = miss[b:b + _REFINE_BLOCK]
-            targets[i] = _refine(fn, targets[i], xs_, fs_)
-        if keep:
-            memo.add(keys, targets[miss])
+        for b in range(0, roots.size, _REFINE_BLOCK):
+            roots[b:b + _REFINE_BLOCK] = _refine(fn, roots[b:b + _REFINE_BLOCK], xs_, fs_)
+        if memo is not None:
+            memo.add(targets[miss], roots)  # targets still holds the missed keys
+            targets[miss] = roots
         out = np.full(flat.shape, np.nan)
         out[inner] = targets[at]
         return out
@@ -358,20 +344,20 @@ def _refine(fn, y, xs, fs):
     return out
 
 
-def inverse_evaluator(f):
+def inverse_evaluator(f, *, remember=False):
     """Elementwise inverse of a unit-interval function: its closed form when
     it carries one, else ``bisect_increasing`` on [0, 1].
 
     Every numeric inverse in this package is built here. ``f`` is a
     UnitFunction. ``bisect_increasing`` is looked up when the inverse is
-    called, not when it is built. A numeric inverse keeps its own
-    ``_RootMemo``, so a target solved by one call is not refined again by
-    a later one (a sweep inverts the same sections tile after tile),
-    within the memo's cap and growth rule.
+    called, not when it is built. With ``remember``, a numeric inverse keeps
+    its own ``_RootMemo``: for the inverses whose roots are asked for again,
+    the one a UnitFunction keeps and ``from_triple``'s f_inv, which every
+    tile of a sweep calls on the same sections.
     """
     if f.inverse is not None:
         return f.inverse
-    ev, memo = f.evaluator, _RootMemo()
+    ev, memo = f.evaluator, _RootMemo() if remember else None
     return lambda y: bisect_increasing(ev, y, memo=memo)
 
 
@@ -381,10 +367,8 @@ def invert_monotone(f, y):
     ``f`` is a UnitFunction. A closed-form inverse is used when present;
     otherwise the value is located by ``bisect_increasing`` on [0, 1]. Every
     call, and every PhiSpec of ``f``, reads the one inverse ``f`` keeps
-    (``inverse_evaluator(f)``, built on first use) and so its one root memo.
+    (``f._kept_inverse``, built on first use) and so its one root memo.
     """
     if f.inverse is None and not f.continuous_bijection:
-        raise ContractError(
-            "invert_monotone requires a function declared continuous_bijection"
-        )
+        raise ContractError("invert_monotone requires a function declared continuous_bijection")
     return elementwise(f._kept_inverse(np.asarray(y, dtype=float)), y)

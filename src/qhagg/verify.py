@@ -255,6 +255,8 @@ class _Report:
 
 @dataclass(frozen=True)
 class AggregationReport(_Report):
+    """Boundary values, range and monotonicity of A on the grid; witness: the first violation."""
+
     passed: bool
     boundary_ok: bool
     monotone_ok: bool
@@ -291,12 +293,22 @@ class ResidualReport(_Report):
 
 @dataclass(frozen=True)
 class MultiplicativeReport(_Report):
+    """psi(lam*x) = psi(lam)*psi(x) on grid pairs; witness: the first failing (lam, x)."""
+
     passed: bool
     max_residual: float
+
+    def __str__(self):
+        text = (f"multiplicativity psi(lam*x) = psi(lam)*psi(x): max residual "
+                f"{self.max_residual!r} (grid n={self.grid_n}, tol={self.tol:g}) -> "
+                f"{'pass' if self.passed else 'FAIL'}")
+        return text if self.passed else f"{text}\nfirst violation: {self.reason}"
 
 
 @dataclass(frozen=True)
 class DiagonalReport(_Report):
+    """Endpoints, strict increase and the largest step of a sampled diagonal section."""
+
     passed: bool
     endpoints_ok: bool
     strictly_increasing_ok: bool
@@ -538,8 +550,10 @@ def check_multiplicative(psi, grid: Grid | None = None,
     resid = np.abs(lhs - rhs)
     w = first_witness(resid, resid > tol)
     witness = None if w is None else (float(p[w[0]]), float(p[w[1]]))
+    reason = "" if w is None else "psi({0!r}*{1!r})={2!r} != psi({0!r})*psi({1!r})={3!r}".format(
+        *witness, float(lhs[w]), float(rhs[w]))
     return MultiplicativeReport(passed=w is None, max_residual=float(np.max(resid)),
-                                witness=witness, grid_n=g.n, tol=tol)
+                                witness=witness, reason=reason, grid_n=g.n, tol=tol)
 
 
 def check_homogeneous_order(F, k: float, grid: Grid | None = None,
@@ -598,6 +612,8 @@ def _power_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, str]:
 
 @dataclass(frozen=True)
 class PsiRecovery:
+    """psi sampled on the grid's lam, its fitted form (None if no rule fits) and why."""
+
     lam: np.ndarray
     samples: np.ndarray
     fitted: PsiSpec | None

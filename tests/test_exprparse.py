@@ -92,6 +92,23 @@ class TestEval:
         with pytest.raises(EvalError):
             eval_expr(parse_expr("x^(0-1)"), 0.0)
 
+    @pytest.mark.parametrize("text, x, message", [
+        ("x^0.5", -0.25, "negative base with fractional exponent (at x=-0.25)"),
+        ("x^0.5", np.array([0.5, -0.25, -0.5]),
+         "negative base with fractional exponent (at x=-0.25)"),
+        ("x^-1", 0.0, "division by zero: 0 to a negative power (at x=0.0)"),
+        ("x^-1", GRID, "division by zero: 0 to a negative power (at x=0.0)"),
+    ])
+    def test_a_constant_exponent_still_checks_its_base(self, text, x, message):
+        with pytest.raises(EvalError) as info:
+            eval_expr(parse_expr(text), x)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, value", [("x^2", 0.25), ("x^-2", 4.0), ("x^0", 1.0)])
+    def test_an_integer_exponent_takes_a_negative_base(self, text, value):
+        assert eval_expr(parse_expr(text), -0.5) == value
+        assert eval_expr(parse_expr(text), np.array([-0.5, 0.5])).tolist() == [value, value]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [0.5, GRID], ids=["scalar", "array"])
     @pytest.mark.parametrize("text", ["10^400", "10^300*10^300", "10^400-10^400"])

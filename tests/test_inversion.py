@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -194,14 +195,21 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def kept_inverse(fn):
+    """A numeric inverse of ``fn`` that remembers its roots, as the one a
+    UnitFunction keeps and the ``f_inv`` of ``from_triple`` do."""
+    return numerics.inverse_evaluator(UnitFunction(fn, continuous_bijection=True),
+                                      remember=True)
+
+
 class TestRootMemo:
-    """Each numeric inverse of ``inverse_evaluator`` remembers the roots it
-    has refined, across calls. A root depends on its target alone, so a
-    remembered root has the bits of a fresh one."""
+    """A numeric inverse that remembers keeps the roots it has refined,
+    across calls. A root depends on its target alone, so a remembered root
+    has the bits of a fresh one."""
 
     def test_overlapping_batches_keep_their_bits(self):
         rng = np.random.default_rng(5)
-        inverse = numerics.inverse_evaluator(UnitFunction(sqrt4, continuous_bijection=True))
+        inverse = kept_inverse(sqrt4)
         shallow = rng.uniform(0.5, 1.0, 3000)
         deep = rng.uniform(0.0, 0.05, 1000)
         assert deep.max() < sqrt4(2.0 ** -60)  # 0.074: these reach the deep table
@@ -217,7 +225,7 @@ class TestRootMemo:
 
     def test_a_repeated_batch_refines_no_lane(self, monkeypatch):
         lanes = counted_refine(monkeypatch)
-        inverse = numerics.inverse_evaluator(UnitFunction(square, continuous_bijection=True))
+        inverse = kept_inverse(square)
         y = np.random.default_rng(6).uniform(size=5000)
         first = inverse(y)
         assert lanes[0] == y.size
@@ -230,7 +238,7 @@ class TestRootMemo:
 
     def test_nan_is_never_remembered(self, monkeypatch):
         memos, lanes = recorded_memos(monkeypatch), counted_refine(monkeypatch)
-        inverse = numerics.inverse_evaluator(UnitFunction(jump, continuous_bijection=True))
+        inverse = kept_inverse(jump)
         # 0.3 and 0.5 lie inside the jump, so their roots are NaN
         y = np.array([0.1, 0.3, np.nan, 0.5, 0.9, np.nan])
         for _ in range(2):
@@ -242,45 +250,38 @@ class TestRootMemo:
         # the second call refines the two jump targets only
         assert lanes[0] == 4 + 2
 
-    def test_the_memo_grows_while_half_the_targets_hit(self, monkeypatch):
-        memos = recorded_memos(monkeypatch)
-        inverse = numerics.inverse_evaluator(UnitFunction(square, continuous_bijection=True))
+    def test_a_kept_memo_adds_every_new_root(self, monkeypatch):
+        memos, lanes = recorded_memos(monkeypatch), counted_refine(monkeypatch)
+        inverse = kept_inverse(square)
         (memo,) = memos
-        y = np.random.default_rng(8).uniform(size=400)
-        inverse(y[:100])
-        assert memo.keys.size == 100
-        inverse(y[50:200])  # 50 of 150 hit: not added
-        assert memo.keys.size == 100
-        inverse(y[:200])  # 100 of 200 hit: added
-        assert memo.keys.size == 200
-        assert np.array_equal(memo.keys, np.sort(y[:200]))
-
-    def test_a_memo_a_smaller_call_filled_grows(self, monkeypatch):
-        memos = recorded_memos(monkeypatch)
-        inverse = numerics.inverse_evaluator(UnitFunction(square, continuous_bijection=True))
-        (memo,) = memos
-        y = np.random.default_rng(11).uniform(size=1000)
-        inverse(y[:10])
-        inverse(y[100:400])  # 300 misses, more than the 10 roots held: added
-        assert memo.keys.size == 310
-        inverse(y[400:700])  # 300 misses, fewer than the 310 held: not added
-        assert memo.keys.size == 310
+        y = np.random.default_rng(8).uniform(size=1000)
+        sizes = []
+        # a call that mostly misses adds its roots as one that mostly hits does
+        for batch in (y[:10], y[100:400], y[400:700], y[50:200], y[:1000]):
+            inverse(batch)
+            sizes.append(memo.keys.size)
+        assert sizes == [10, 310, 610, 660, 1000]
+        # each target was refined once
+        assert lanes[0] == y.size
+        assert np.array_equal(memo.keys, np.sort(y))
+        assert np.array_equal(bits(memo.roots), bits(bisect_increasing(square, memo.keys)))
 
     def test_the_memo_never_outgrows_its_cap(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MEMO_CAP", 100)
         memos = recorded_memos(monkeypatch)
-        inverse = numerics.inverse_evaluator(UnitFunction(square, continuous_bijection=True))
+        inverse = kept_inverse(square)
         (memo,) = memos
         y = np.random.default_rng(9).uniform(size=1000)
         sizes = []
-        for batch in (y[:150], y[:60], y[:90], y[:120], y[60:180], y[:100], y):
+        for batch in (y[:60], y[:90], y[:150], y[60:180], y):
             assert np.array_equal(bits(inverse(batch)), bits(bisect_increasing(square, batch)))
             assert memo.keys.size == memo.roots.size <= 100
             assert np.all(np.diff(memo.keys) > 0.0)
             sizes.append(memo.keys.size)
-        # 150 new roots do not fit; 60 do, then 30 more and 10 more; the
-        # 30 new roots of y[:120] would overflow, and y[60:180] hits too few
-        assert sizes == [0, 60, 90, 90, 90, 100, 100]
+        # new roots fill the memo up to the cap, the smallest targets first
+        assert sizes == [60, 90, 100, 100, 100]
+        smallest_new = np.setdiff1d(y[:150], y[:90])[:10]  # setdiff1d sorts
+        assert np.array_equal(memo.keys, np.sort(np.concatenate([y[:90], smallest_new])))
 
     def test_invert_keeps_one_inverse_across_calls(self, monkeypatch):
         lanes = counted_refine(monkeypatch)
@@ -313,9 +314,9 @@ class TestRootMemo:
 
 
 class TestOnePath:
-    """Each inverse is reached one way: a bisection always runs through a
-    root memo, every PhiSpec of a function reads the one inverse it keeps,
-    and an absent closed form is never sampled."""
+    """Each inverse is reached one way: only an inverse whose roots are asked
+    for again keeps a root memo, every PhiSpec of a function reads the one
+    inverse it keeps, and an absent closed form is never sampled."""
 
     def test_a_call_without_memo_keeps_nothing_between_calls(self, monkeypatch):
         memos, lanes = recorded_memos(monkeypatch), counted_refine(monkeypatch)
@@ -325,8 +326,33 @@ class TestOnePath:
         again = bisect_increasing(square, y)
         assert lanes[0] == 2 * y.size
         assert np.array_equal(bits(again), bits(first))
-        # each call worked through a fresh memo of its own
-        assert len(memos) == 2 and memos[0] is not memos[1]
+        # neither call built a memo
+        assert memos == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: validate_triple(bisected_generators()),
+        lambda: PhiSpec.from_expr("x*x").invert(np.linspace(0.0, 1.0, 50)),
+        lambda: PhiSpec.from_expr("x*x/(1-x)", b=math.inf).invert(np.linspace(0.0, 9.0, 50)),
+        lambda: bisect_increasing(square, np.linspace(0.0, 1.0, 50)),
+    ], ids=["validate_triple", "from_expr", "from_expr b=inf", "bisect_increasing"])
+    def test_an_inverse_whose_roots_are_not_asked_for_again_builds_no_memo(self, monkeypatch,
+                                                                             make):
+        memos, lanes = recorded_memos(monkeypatch), counted_refine(monkeypatch)
+        make()
+        assert lanes[0] > 0 and memos == []
+
+    def test_a_bare_call_holds_no_copy_of_its_targets(self):
+        # 10^5 targets are 0.76 MiB: distinct's index and order arrays and the
+        # sorted targets stay traced, a memo's keys and roots or an index
+        # array as long as the targets would add to them
+        y = np.random.default_rng(15).uniform(size=10 ** 5)
+        tracemalloc.start()
+        try:
+            bisect_increasing(square, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0 * 2 ** 20
 
     def test_a_second_phi_of_one_function_refines_no_lane(self, monkeypatch):
         lanes = counted_refine(monkeypatch)
@@ -381,12 +407,18 @@ class TestOnePath:
         assert fn.lanes == 0
 
 
+def bisected_generators():
+    """The triple of expressions f=x*x, g=x, h=2x/(1+x): x occurs twice in
+    f, so f inverts numerically."""
+    return GeneratorTriple(f=unit_function_from_expr("x*x", continuous_bijection=True),
+                           g=unit_function_from_expr("x", increasing=True),
+                           h=unit_function_from_expr("2*x/(1+x)", increasing=True))
+
+
 def bisected_triple():
-    """from_triple of the expressions f=x*x, g=x, h=2x/(1+x), unvalidated:
-    x occurs twice in f, so f and the diagonal invert numerically."""
-    t = GeneratorTriple(f=unit_function_from_expr("x*x", continuous_bijection=True),
-                        g=unit_function_from_expr("x", increasing=True),
-                        h=unit_function_from_expr("2*x/(1+x)", increasing=True))
+    """The bisected triple and from_triple of it, unvalidated: f and the
+    diagonal invert numerically."""
+    t = bisected_generators()
     return t, from_triple(t, validate=False)
 
 

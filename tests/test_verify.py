@@ -294,6 +294,23 @@ class TestCheckMultiplicative:
         assert report.witness == (0.0, 0.0)
         assert report.max_residual >= 0.25 - 1e-15
 
+    def test_pass_text(self):
+        report = check_multiplicative(PsiSpec.step_at_zero(), grid=make_grid(10), tol=0.0)
+        assert str(report) == ("multiplicativity psi(lam*x) = psi(lam)*psi(x): max residual "
+                               "0.0 (grid n=10, tol=0) -> pass")
+        assert report.reason == ""
+
+    def test_fail_text_names_both_sides_at_the_witness(self):
+        report = check_multiplicative(lambda x: x * 0.5)
+        assert report.witness == (0.01, 0.01)
+        assert report.reason == "psi(0.01*0.01)=5e-05 != psi(0.01)*psi(0.01)=2.5e-05"
+        assert str(report) == (
+            "multiplicativity psi(lam*x) = psi(lam)*psi(x): max residual 0.25 "
+            "(grid n=100, tol=1e-12) -> FAIL\n"
+            "first violation: psi(0.01*0.01)=5e-05 != psi(0.01)*psi(0.01)=2.5e-05")
+        # the repr stays the dataclass's
+        assert repr(report).startswith("MultiplicativeReport(witness=(0.01, 0.01), reason='psi(")
+
     def test_interior_step_rejected(self):
         report = check_multiplicative(interior_step(0.5), grid=GRID, tol=1e-12)
         assert not report.passed
