@@ -23,6 +23,7 @@ from .algebra import (
     bounded_rational,
     diagonal,
     identity,
+    invert_monotone,
     power_function,
     unit_function_from_expr,
 )
@@ -52,7 +53,6 @@ from .numerics import (
     Grid,
     bisect_increasing,
     default_grid,
-    invert_monotone,
     make_grid,
 )
 from .verify import (

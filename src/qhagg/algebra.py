@@ -6,10 +6,10 @@ An AggregationFunction may declare the closed form of its diagonal, which
 ``diagonal`` reads in place of the evaluator on (x, x).
 Declarations are contracts, not measurements: numerical checks (module
 ``verify``) establish or refute them on grids. ``UnitFunction.invert``
-refuses a function that is not declared a continuous bijection and carries
-no closed-form inverse, and reads the one inverse the function keeps, which
-its PhiSpecs share. ``numerics.inverse_evaluator``, which builds that one
-and those of triples and of expression phis, does not check.
+(``invert_monotone``) refuses a function that is not declared a continuous
+bijection and carries no closed-form inverse, and reads the one inverse the
+function keeps, which its PhiSpecs share. ``numerics.inverse_evaluator``,
+which builds that one and those of triples and expression phis, does not.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import exprparse
 from .errors import ContractError, DomainError
 from .numerics import (Grid, default_grid, elementwise, first_fall, first_witness,
-                       inverse_evaluator, invert_monotone, pinned_inverse)
+                       inverse_evaluator, pinned_inverse)
 
 __all__ = [
     "UnitFunction",
@@ -36,6 +36,7 @@ __all__ = [
     "aggregation_from_combiner",
     "COMBINERS",
     "diagonal",
+    "invert_monotone",
 ]
 
 
@@ -47,8 +48,6 @@ class UnitFunction:
     increasing / strictly_increasing / continuous_bijection : declared flags
         (continuous_bijection implies fixed endpoints 0 and 1)
     inverse : optional closed-form inverse evaluator
-    invert : preimage of y, by the closed-form inverse if present, else bisection,
-        through the one inverse the function keeps
     """
 
     evaluator: Callable
@@ -61,7 +60,12 @@ class UnitFunction:
     def __call__(self, x):
         return elementwise(self.evaluator(np.asarray(x, dtype=float)), x)
 
-    invert = invert_monotone
+    def invert(self, y):
+        """Preimage of y, by the closed-form inverse if present, else bisection,
+        through the one inverse the function keeps (``_kept_inverse``)."""
+        if self.inverse is None and not self.continuous_bijection:
+            raise ContractError("invert_monotone requires a function declared continuous_bijection")
+        return elementwise(self._kept_inverse(np.asarray(y, dtype=float)), y)
 
     @functools.cached_property
     def _kept_inverse(self) -> Callable:
@@ -76,6 +80,9 @@ class UnitFunction:
 
     def __repr__(self):
         return f"UnitFunction({self.name or 'anonymous'})"
+
+
+invert_monotone = UnitFunction.invert
 
 
 def _bijection(evaluator, inverse, name: str) -> UnitFunction:

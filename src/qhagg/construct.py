@@ -213,8 +213,9 @@ def from_triple(t: GeneratorTriple, *, validate: bool = True) -> AggregationFunc
     @functools.cache
     def scale():
         # x / x is exactly 1 for x != 0, so A(x, x) = f(x * scale()); a
-        # lane's root depends on its target alone, so one root serves all
-        return f_inv(np.clip(h_ev(np.ones(1)), 0.0, 1.0))[0]
+        # lane's root depends on its target alone, so one root serves all;
+        # t.h reads h(1) by the elementwise rule, so a scalar h is an array too
+        return f_inv(np.clip(t.h(np.ones(1)), 0.0, 1.0))[0]
 
     def diag(x):
         x = np.asarray(x, dtype=float)

@@ -4,6 +4,8 @@ Every evaluator in this package is elementwise: it accepts a float or a
 numpy array and returns a value of the same shape, by the one rule of
 ``elementwise``, which the helpers here follow too. Each one-variable
 section is sampled by that rule and checked for increase by ``first_fall``.
+Numeric inverses are built here; ``UnitFunction.invert`` owns their
+contract and the one inverse a function keeps, so no flag is read here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import DomainError
 
 #: ``bisect_increasing`` refines a lane for at most this many rounds; a lane
 #: still open then returns NaN. Bisection alone narrows a bracket to 2**-200
@@ -359,16 +361,3 @@ def inverse_evaluator(f, *, remember=False):
         return f.inverse
     ev, memo = f.evaluator, _RootMemo() if remember else None
     return lambda y: bisect_increasing(ev, y, memo=memo)
-
-
-def invert_monotone(f, y):
-    """Inverse of a unit-interval function declared a continuous bijection.
-
-    ``f`` is a UnitFunction. A closed-form inverse is used when present;
-    otherwise the value is located by ``bisect_increasing`` on [0, 1]. Every
-    call, and every PhiSpec of ``f``, reads the one inverse ``f`` keeps
-    (``f._kept_inverse``, built on first use) and so its one root memo.
-    """
-    if f.inverse is None and not f.continuous_bijection:
-        raise ContractError("invert_monotone requires a function declared continuous_bijection")
-    return elementwise(f._kept_inverse(np.asarray(y, dtype=float)), y)

@@ -14,6 +14,8 @@ the sampled population is deterministic.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ from qhagg import (
     power_function,
     validate_triple,
 )
+
+# Hypothesis's pytest plugin imports this module to report a falsifying
+# example, and its libcst import warns that mypy_extensions.TypedDict is
+# deprecated; under -W error that warning ended the run in an INTERNALERROR
+# instead of the report. Import it here, ignoring that one warning only.
+try:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                                category=DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:  # without libcst the plugin skips the report's patch
+    pass
 
 
 def convex_with_identity(u: UnitFunction, w: float) -> UnitFunction:

@@ -248,6 +248,15 @@ class TestGrid:
                       "--out", str(tmp_path / "no" / "dir" / "f.csv"))
         assert res.returncode == 1
 
+    def test_unwritable_path_is_reported_on_stderr_alone(self, tmp_path, capsys):
+        # in process, unlike the test above, so that coverage sees the OSError handler
+        out = tmp_path / "no" / "dir" / "f.csv"
+        assert cli.main(["grid", "--fn", "min", "--n", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {out}: [Errno 2] No such file")
+        assert captured.err.count("\n") == 1 and not out.parent.exists()
+
     def test_determinism(self):
         a = run_cli("grid", "--fn", "harmonic_min", "--n", "30")
         b = run_cli("grid", "--fn", "harmonic_min", "--n", "30")

@@ -19,8 +19,9 @@ import pytest
 from conftest import random_valid_triples, strip_inverse
 from qhagg import (CLASS1, NOT_QH, EvalError, GeneratorTriple, PhiSpec, UnitFunction,
                    canonical_pair, catalog_lookup, catalog_names, check_aggregation,
-                   check_quasi_homogeneity, classify, diagonal, from_triple, make_grid,
-                   numerics, triple_of, unit_function_from_expr)
+                   check_quasi_homogeneity, classify, diagonal, from_triple, identity,
+                   make_grid, numerics, power_function, triple_of, unit_function_from_expr,
+                   validate_triple)
 from qhagg.construct import _harmonic_min
 from qhagg.numerics import _BRACKET_TABLE
 
@@ -128,6 +129,11 @@ def expression_triple(f, g, h):
                            h=unit_function_from_expr(h, increasing=True))
 
 
+def constant_one(evaluator) -> UnitFunction:
+    """The section h = 1, which is nondecreasing, from its evaluator."""
+    return UnitFunction(evaluator, increasing=True, name="1")
+
+
 #: f jumps from 0 to 0.99993 between 0 and the smallest subnormal, so the
 #: f_inv root of every target inside the jump, such as h(0.5) = 0.5 at
 #: A(0.5, 1.0), is NaN
@@ -142,6 +148,8 @@ TRIPLES = {
     "nan root": expression_triple(*NAN_ROOT),
     # f_inv(h(1)) = f_inv(0.5) is NaN, so the diagonal is NaN off 0
     "nan scale": expression_triple("x^0.0000001", "x", "0.5*x"),
+    # a constant h may return a Python float (the elementwise rule)
+    "scalar h": GeneratorTriple(power_function(2), identity(), constant_one(lambda x: 1.0)),
     **{f"seeded {k}": t for k, t in enumerate(random_valid_triples(20))},
 }
 
@@ -194,6 +202,18 @@ class TestTripleDiagonal:
         A = from_triple(TRIPLES["h=0.9*x"], validate=False)
         assert A.diagonal(1.0) == A(1.0, 1.0) == pytest.approx(0.9, abs=1e-15)
         assert np.isnan(from_triple(TRIPLES["nan scale"], validate=False).diagonal(p[1:])).all()
+
+    def test_a_scalar_h_classifies_as_an_array_h_does(self):
+        scalar = TRIPLES["scalar h"]
+        array = dataclasses.replace(scalar, h=constant_one(np.ones_like))
+        assert validate_triple(scalar).ok
+        grid = make_grid(50)
+        report = classify(from_triple(scalar), grid=grid)
+        assert str(report).splitlines()[0] == "Class1 delta=x^2 (fitted)"
+        assert str(report) == str(classify(from_triple(array), grid=grid))
+        for f in (scalar.f, strip_inverse(scalar.f)):
+            A = from_triple(dataclasses.replace(scalar, f=f), validate=False)
+            assert A.diagonal(0.5) == A(0.5, 0.5) == 0.25
 
     def test_diagonal_and_triple_of_read_it(self):
         A = from_triple(TRIPLES["expression"])

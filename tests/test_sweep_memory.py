@@ -12,10 +12,13 @@ whole, and with the two-level plan: harmonic_min classify at n = 100,
 step-psi sweep, 7.5 -> 3.4 MiB (numpy 2.4, Python 3.11). The bounds leave
 about half as much again for other numpy versions.
 
-A numeric inverse keeps a memo of the roots it has refined, at most 2^18
-of them (4 MiB), so that the tiles of a sweep do not solve the same
-sections again: the classify of a triple whose f is bisected peaks at
-9.4 MiB at n = 200 with it, 8.1 MiB without.
+The numeric inverses whose roots are asked for again keep a memo of the
+roots they have refined, at most 2^18 of them (4 MiB): the one inverse a
+function keeps, and ``from_triple``'s own f_inv, so that the tiles of a
+sweep do not solve the same sections again. Every other numeric inverse,
+such as that of an expression phi, keeps none. The classify of a triple
+whose f is bisected peaks at 6.9 MiB at n = 200 with ``from_triple``'s
+memo, 8.1 MiB without it (numpy 2.4, Python 3.11).
 
 A Class-1 report keeps the memo of its ``delta``'s inverse, so that the
 re-verification of its canonical pair solves no root again: while the
