@@ -149,47 +149,100 @@ def distinct(values):
     return np.concatenate(parts), at
 
 
-#: A kept root memo holds at most this many roots (4 MiB of targets and
-#: roots). Classifying a bisected triple at n = 400 remembers 202,952
-#: sections; a cap of 2^15 there made the sweep nearly twice as slow.
+#: A kept root memo holds at most this many roots: 4 MiB of targets and roots,
+#: and a 2 MiB hash table. Classifying a bisected triple at n = 400 remembers
+#: 202,952; a cap of 2^15 there made the sweep nearly twice as slow.
 _MEMO_CAP = 1 << 18
+
+#: ``_RootMemo`` hashes a target's bits by this odd multiplier (Fibonacci hashing).
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
 
 
 class _RootMemo:
     """Roots of one function, remembered across calls of ``bisect_increasing``.
 
     Kept only by inverses whose roots are asked for again (``inverse_evaluator``).
-    ``keys`` holds sorted distinct targets, compared by ``==`` as ``distinct``
-    compares them, and ``roots`` their roots; never NaN, at most ``_MEMO_CAP``.
+    ``keys`` holds distinct targets as added and ``roots`` their roots; never
+    NaN, at most ``_MEMO_CAP``. Both are rows of a store, which ``add`` only
+    appends to and which grows by an eighth at a time. ``recall`` first files
+    new targets in a hash table with linear probing, whose int32 slots index
+    ``keys`` (-1 when empty), at most a third full, or half at the cap: 16 to
+    18 B per root in the store and 12 to 24 B in the table. No entry sits
+    more than ``_reach`` slots past its home, so a lookup still open after
+    two probes reads the rest of its reach at once. Targets hash by their
+    bits, a zero as +0.0, and compare by ``==`` as in ``distinct``.
     """
 
     def __init__(self):
         self.keys = self.roots = np.empty(0)
+        self._store = np.empty((2, 0))
+        self._slots, self._held, self._reach = np.empty(0, dtype=np.int32), 0, 0
 
-    def recall(self, targets):
-        """Overwrite each of the sorted distinct ``targets`` that is remembered
-        by its root, in place, and return the ascending indices of the rest."""
-        hit = np.zeros(targets.size, dtype=bool)
-        for b in range(0, targets.size if self.keys.size else 0, _REFINE_BLOCK):
-            t, h = targets[b:b + _REFINE_BLOCK], hit[b:b + _REFINE_BLOCK]
-            k = np.minimum(np.searchsorted(self.keys, t), self.keys.size - 1)
-            np.equal(self.keys[k], t, out=h)
-            t[h] = self.roots[k[h]]
+    def __len__(self):
+        return self.keys.size
+
+    def items(self):
+        """The remembered targets, sorted, and their roots."""
+        order = np.argsort(self.keys)
+        return self.keys[order], self.roots[order]
+
+    def _home(self, t):
+        # the top bits of each target's bits, a zero as +0.0, times _HASH_MUL
+        h = (t + 0.0).view(np.uint64)
+        return np.right_shift(np.multiply(h, _HASH_MUL, out=h),
+                              np.uint64(65 - self._slots.size.bit_length()), out=h).view(np.intp)
+
+    def _find(self, t):
+        """The entry in ``keys`` of each target of ``t``; -1 for one not remembered."""
+        slots, keys, mask = self._slots, self.keys, self._slots.size - 1
+        h = self._home(t)
+        at = slots[h]
+        lane = np.flatnonzero((at >= 0) & (keys.take(at) != t))
+        h[lane] = s = (h[lane] + 1) & mask  # one more probe settles most of the rest
+        at[lane] = k = slots[s]
+        lane = lane[(k >= 0) & (keys.take(k) != t[lane])]
+        # the rest read every slot they have left within the reach at once (an
+        # empty slot reads the last key, and gives -1 even where that matches)
+        k = slots[(h[lane, None] + np.arange(1, self._reach)) & mask]
+        at[lane] = np.where(keys.take(k) == t[lane, None], k, -1).max(axis=1, initial=-1)
+        return at
+
+    def recall(self, ys):
+        """File the targets added since the last call, then overwrite each target
+        of ``ys`` that is remembered by its root, in place, and return the
+        ascending indices of the rest."""
+        size = 1 << (min(3 * len(self), 2 * _MEMO_CAP) - 1).bit_length()
+        if size > self._slots.size:  # a new table, at least three times the memo
+            self._slots, self._held, self._reach = np.full(size, -1, np.int32), 0, 0
+        new, self._held = np.arange(self._held, len(self), dtype=np.int32), len(self)
+        h, far = self._home(self.keys[new]), 0
+        while new.size:  # each entry left looks ``far`` slots past its home
+            free = self._slots[h] < 0
+            self._slots[h[free]] = new[free]
+            keep = self._slots[h] != new  # of entries that meet at a free slot, one took it
+            new, h, far = new[keep], (h[keep] + 1) & (self._slots.size - 1), far + 1
+        self._reach = max(self._reach, far - 1)
+        hit = np.zeros(ys.size, dtype=bool)
+        for b in range(0, ys.size, _REFINE_BLOCK):
+            t, h = ys[b:b + _REFINE_BLOCK], hit[b:b + _REFINE_BLOCK]
+            at = self._find(t)
+            np.copyto(t, self.roots.take(at), where=np.greater_equal(at, 0, out=h))
         return np.flatnonzero(~hit)
 
     def add(self, keys, roots):
-        """Merge sorted distinct targets absent from the memo, and their roots:
+        """Append sorted distinct targets absent from the memo, and their roots:
         every one whose root is not NaN, the smallest first, up to the cap."""
         solved = ~np.isnan(roots)
         if not solved.all():
             keys, roots = keys[solved], roots[solved]
-        room = _MEMO_CAP - self.keys.size
-        if not self.keys.size:
-            self.keys, self.roots = keys[:room], roots[:room]
-        elif keys.size and room:
-            at = np.searchsorted(self.keys, keys[:room])
-            self.keys = np.insert(self.keys, at, keys[:room])
-            self.roots = np.insert(self.roots, at, roots[:room])
+        n = len(self)
+        m = min(n + keys.size, _MEMO_CAP)
+        if m > self._store.shape[1]:  # a new store, larger by an eighth or more
+            store = np.empty((2, min(max(m, n + n // 8), _MEMO_CAP)))
+            store[:, :n] = self._store[:, :n]
+            self._store = store
+        self._store[0, n:m], self._store[1, n:m] = keys[:m - n], roots[:m - n]
+        self.keys, self.roots = self._store[:, :m]
 
 
 def bisect_increasing(fn, y, *, memo=None):
@@ -208,10 +261,11 @@ def bisect_increasing(fn, y, *, memo=None):
     are sorted and refined, in blocks of ``_REFINE_BLOCK`` lanes.
 
     ``memo``, the ``_RootMemo`` an inverse of ``inverse_evaluator`` may keep,
-    carries roots of ``fn`` across calls: a remembered target takes its root,
-    and every root the call refines is added, within the memo's cap. A root
-    depends on its target alone, so a remembered root has the bits a fresh
-    one would have. A call without ``memo`` does no memo work at all.
+    carries roots of ``fn`` across calls. Once it holds a root, each lane is
+    looked up in it before any sorting, and only the lanes it misses are
+    sorted and refined; every root the call refines is added, within the
+    memo's cap. A root depends on its target alone, so a remembered root has
+    the bits a fresh one would have. A call without ``memo`` does no memo work.
 
     A lane that cannot converge returns NaN: a NaN target, a target inside
     a jump of ``fn`` (its bracket shrinks to adjacent floats), or one still
@@ -226,21 +280,25 @@ def bisect_increasing(fn, y, *, memo=None):
 
     def solve(flat):
         inner = (flat > fs[0]) & (flat < fs[-1])
-        targets, at = distinct(flat[inner])
-        # targets become their roots: the remembered ones, then the rest by blocks
-        miss = slice(None) if memo is None else memo.recall(targets)
-        roots = targets[miss]  # targets itself without a memo, else a copy
+        # a memo that holds roots gives the remembered targets theirs; the rest are refined
+        roots = flat[inner] if memo else None
+        miss = memo.recall(roots) if memo else None
+        targets, at = distinct(flat[inner] if miss is None else roots[miss])
+        fresh = targets if memo is None else targets.copy()
         xs_, fs_ = xs, fs
-        if roots.size and roots[0] < fs[1]:
+        if fresh.size and fresh[0] < fs[1]:
             xs_ = np.concatenate([xs[:1], _DEEP_TABLE, xs[1:]])
             fs_ = np.concatenate([fs[:1], np.asarray(fn(_DEEP_TABLE), dtype=float), fs[1:]])
-        for b in range(0, roots.size, _REFINE_BLOCK):
-            roots[b:b + _REFINE_BLOCK] = _refine(fn, roots[b:b + _REFINE_BLOCK], xs_, fs_)
+        for b in range(0, fresh.size, _REFINE_BLOCK):
+            fresh[b:b + _REFINE_BLOCK] = _refine(fn, fresh[b:b + _REFINE_BLOCK], xs_, fs_)
         if memo is not None:
-            memo.add(targets[miss], roots)  # targets still holds the missed keys
-            targets[miss] = roots
+            memo.add(targets, fresh)
         out = np.full(flat.shape, np.nan)
-        out[inner] = targets[at]
+        if miss is None:
+            out[inner] = fresh[at]
+        else:
+            roots[miss] = fresh[at]
+            out[inner] = roots
         return out
 
     return _solve_between(y, fs[0], fs[-1], solve)
@@ -353,9 +411,11 @@ def inverse_evaluator(f, *, remember=False):
     Every numeric inverse in this package is built here. ``f`` is a
     UnitFunction. ``bisect_increasing`` is looked up when the inverse is
     called, not when it is built. With ``remember``, a numeric inverse keeps
-    its own ``_RootMemo``: for the inverses whose roots are asked for again,
-    the one a UnitFunction keeps and ``from_triple``'s f_inv, which every
-    tile of a sweep calls on the same sections.
+    its own ``_RootMemo``, which builds its hash table when the inverse is
+    called again and from then on looks every lane up before anything is
+    sorted: for the inverses whose roots are asked for again, the one a
+    UnitFunction keeps and ``from_triple``'s f_inv, which every tile of a
+    sweep calls on the same sections.
     """
     if f.inverse is not None:
         return f.inverse

@@ -245,8 +245,9 @@ class TestRootMemo:
             x = inverse(y)
             assert np.isnan(x[1:4]).all() and not np.isnan(x[[0, 4]]).any()
         (memo,) = memos
-        assert np.array_equal(memo.keys, [0.1, 0.9])
-        assert not np.isnan(memo.roots).any()
+        keys, roots = memo.items()
+        assert np.array_equal(keys, [0.1, 0.9])
+        assert not np.isnan(roots).any()
         # the second call refines the two jump targets only
         assert lanes[0] == 4 + 2
 
@@ -259,12 +260,13 @@ class TestRootMemo:
         # a call that mostly misses adds its roots as one that mostly hits does
         for batch in (y[:10], y[100:400], y[400:700], y[50:200], y[:1000]):
             inverse(batch)
-            sizes.append(memo.keys.size)
+            sizes.append(len(memo))
         assert sizes == [10, 310, 610, 660, 1000]
         # each target was refined once
         assert lanes[0] == y.size
-        assert np.array_equal(memo.keys, np.sort(y))
-        assert np.array_equal(bits(memo.roots), bits(bisect_increasing(square, memo.keys)))
+        keys, roots = memo.items()
+        assert np.array_equal(keys, np.sort(y))
+        assert np.array_equal(bits(roots), bits(bisect_increasing(square, keys)))
 
     def test_the_memo_never_outgrows_its_cap(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MEMO_CAP", 100)
@@ -275,13 +277,14 @@ class TestRootMemo:
         sizes = []
         for batch in (y[:60], y[:90], y[:150], y[60:180], y):
             assert np.array_equal(bits(inverse(batch)), bits(bisect_increasing(square, batch)))
-            assert memo.keys.size == memo.roots.size <= 100
-            assert np.all(np.diff(memo.keys) > 0.0)
-            sizes.append(memo.keys.size)
+            keys, roots = memo.items()
+            assert len(memo) == keys.size == roots.size <= 100
+            assert np.all(np.diff(keys) > 0.0)
+            sizes.append(len(memo))
         # new roots fill the memo up to the cap, the smallest targets first
         assert sizes == [60, 90, 100, 100, 100]
         smallest_new = np.setdiff1d(y[:150], y[:90])[:10]  # setdiff1d sorts
-        assert np.array_equal(memo.keys, np.sort(np.concatenate([y[:90], smallest_new])))
+        assert np.array_equal(keys, np.sort(np.concatenate([y[:90], smallest_new])))
 
     def test_invert_keeps_one_inverse_across_calls(self, monkeypatch):
         lanes = counted_refine(monkeypatch)
@@ -311,6 +314,113 @@ class TestRootMemo:
             unit_function_from_expr("x*x").invert(0.25)
         assert str(info.value) == (
             "invert_monotone requires a function declared continuous_bijection")
+
+
+def shifted(x):
+    # x - 1/2: the targets +0.0 and -0.0 lie strictly between fn(0) and fn(1)
+    return np.asarray(x, dtype=float) - 0.5
+
+
+def run_kept(monkeypatch, fn, batches):
+    """Invert each batch with one kept inverse of ``fn``; each result has the
+    bits of a bare call, and each distinct target strictly between fn(0) and
+    fn(1) (+0.0 and -0.0 are one) is refined exactly once. The memo is returned."""
+    memos, lanes = recorded_memos(monkeypatch), counted_refine(monkeypatch)
+    inverse = kept_inverse(fn)
+    (memo,) = memos
+    refined = 0
+    for y in batches:
+        before = lanes[0]
+        x = inverse(y)
+        refined += lanes[0] - before
+        assert np.array_equal(bits(x), bits(bisect_increasing(fn, y)))
+    y = np.concatenate(batches)
+    inner = y[(y > fn(0.0)) & (y < fn(1.0))]
+    assert refined == np.unique(inner + 0.0).size
+    return memo
+
+
+@pytest.mark.filterwarnings("error")
+class TestHashedMemo:
+    """A kept memo looks every lane up in its hash table before anything is
+    sorted, and sorts and refines only the lanes it misses."""
+
+    def test_targets_that_share_a_home_slot(self, monkeypatch):
+        # a multiplier of 0 sends every target to the first slot
+        monkeypatch.setattr(numerics, "_HASH_MUL", np.uint64(0))
+        rng = np.random.default_rng(20)
+        y = rng.uniform(size=300)
+        memo = run_kept(monkeypatch, square, [y[:100], y[50:200], rng.permutation(y),
+                                              np.repeat(y[::3], 3)])
+        assert len(memo) == y.size
+
+    def test_growth_and_rehash_over_fifty_batches(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        seen, batches = np.empty(0), []
+        for _ in range(50):
+            new = rng.uniform(size=int(rng.integers(1, 400)))
+            old = rng.choice(seen, int(rng.integers(0, 300))) if seen.size else seen
+            batches.append(rng.permutation(np.concatenate([new, old, new[:20]])))
+            seen = np.concatenate([seen, new])
+        memo = run_kept(monkeypatch, sqrt4, batches)
+        assert len(memo) == np.unique(seen).size
+
+    def test_signed_zeros_are_one_target(self, monkeypatch):
+        memo = run_kept(monkeypatch, shifted, [np.array([0.0, 0.25]), np.array([-0.0]),
+                                               np.array([-0.0, 0.0, -0.25, 0.25])])
+        keys, roots = memo.items()
+        assert keys.tolist() == [-0.25, 0.0, 0.25] and roots.tolist() == [0.25, 0.5, 0.75]
+
+    def test_deep_targets(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        deep = rng.uniform(0.0, 0.05, 500)
+        assert deep.max() < sqrt4(2.0 ** -60)
+        shallow = rng.uniform(0.5, 1.0, 500)
+        # remembered deep targets in batches whose misses are all shallow, and back
+        run_kept(monkeypatch, sqrt4, [deep[:300], np.concatenate([deep[:300], shallow]),
+                                      np.concatenate([shallow[::2], deep]), deep[::-1]])
+
+    def test_a_memo_written_once_builds_no_table(self, monkeypatch):
+        # every hash, to file a target or to look one up, is counted
+        memos, lanes, probed = recorded_memos(monkeypatch), counted_refine(monkeypatch), []
+        home = numerics._RootMemo._home
+
+        def counted(self, t):
+            probed.append(self)
+            return home(self, t)
+
+        monkeypatch.setattr(numerics._RootMemo, "_home", counted)
+        inverse = kept_inverse(square)
+        y = np.random.default_rng(23).uniform(size=2000)
+        x = inverse(y)
+        (memo,) = memos
+        assert lanes[0] == len(memo) == y.size and probed == []
+        # asked again, the memo builds its table and refines no lane
+        assert np.array_equal(bits(inverse(y[::-1])), bits(x[::-1]))
+        assert lanes[0] == y.size and probed and set(probed) == {memo}
+        assert np.array_equal(bits(x), bits(bisect_increasing(square, y)))
+        # a classify whose delta is not asked again probes f_inv's memo only
+        memos.clear()
+        _, A = bisected_triple()
+        classify(A, grid=make_grid(20))
+        f_inv, delta = memos
+        assert len(delta) > 0 and delta not in probed and f_inv in probed
+
+    def test_the_kept_memo_is_compact(self, monkeypatch):
+        # the bisected triple at n = 200 remembers about 50,000 sections
+        memos = recorded_memos(monkeypatch)
+        _, A = bisected_triple()
+        tracemalloc.start()
+        try:
+            classify(A, grid=make_grid(200))
+            memo = memos[0]
+            size, held = len(memo), tracemalloc.get_traced_memory()[0]
+            memo.__dict__.clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size > 40_000
+        assert held <= 40 * size
 
 
 class TestOnePath:
