@@ -667,6 +667,18 @@ def _sha256(values) -> str:
 #: 10^5 seeded targets in [0, 1), the smallest near 6.9e-6
 TARGETS = np.random.default_rng(2024).uniform(size=10**5)
 
+_EDGE_RNG = np.random.default_rng(33)
+
+#: seeded targets on [0, inf] for an unbounded phi: 0, inf, NaN, subnormals
+#: and huge values, 5,000 uniform in [0, 1), and 5,000 with binary exponents
+#: from -1074 to 1023 (``ldexp`` is exact, so no libm enters the targets)
+UNBOUNDED_TARGETS = np.concatenate([
+    [0.0, math.inf, math.nan, 5e-324, 1e-310, 2.0 ** -1022, 1e-300, 1.0, 1e300,
+     1.7976931348623157e308],
+    _EDGE_RNG.uniform(size=5000),
+    np.ldexp(_EDGE_RNG.uniform(0.5, 1.0, 5000), _EDGE_RNG.integers(-1073, 1024, 5000)),
+])
+
 
 class TestRootBits:
     """SHA-256 of the roots, bit for bit. Every function here is built from
@@ -691,6 +703,21 @@ class TestRootBits:
         phi = PhiSpec.from_expr("x/(1-x)", b=float("inf"))
         assert (_sha256(phi.invert(TARGETS))
                 == "baa7860090a8196dc514aa3fb59087f3838fce6a438ebb5b88ee5a1c9c932bab")
+
+    @pytest.mark.parametrize("text, closed, digest", [
+        ("x/(1-x)", False,
+         "97e45e5a671ca5adf594a0d1b795de93cac93340c2fd99a99f0b879033b06c92"),
+        ("x*x/(1-x)", False,
+         "9a7028bd33200f9a51f90e593a598df753a50c4c0b67e83d98a176cb806efa2f"),
+        ("x/(1-x)+x*x", False,
+         "278cce424bb61a01aff1bcc4ba8e3e1af0f3560dfea9aceaba1728e82164a1a5"),
+        ("1/(1-x)-1", True,
+         "4892b42a162dec5eefd7e9a55f9a968b93a36b683dd1a80530604ea66de4c1d7"),
+    ], ids=["x/(1-x)", "x*x/(1-x)", "x/(1-x)+x*x", "1/(1-x)-1 closed form"])
+    def test_unbounded_phi_inverse_at_the_edges(self, text, closed, digest):
+        assert (parse_expr(text).inverse is not None) == closed
+        phi = PhiSpec.from_expr(text, b=math.inf)
+        assert _sha256(phi.inverse(UNBOUNDED_TARGETS)) == digest
 
 
 #: 10^4 seeded targets in [0, 1): half uniform, half log-uniform down to 1e-30
