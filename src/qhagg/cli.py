@@ -167,9 +167,8 @@ def cmd_check(args) -> int:
 
 def cmd_grid(args) -> int:
     A = build_aggregation(spec_from_args(args))
-    grid = make_grid(args.n)
-    p = grid.points
-    V = np.asarray(A.evaluator(p[:, None], p[None, :]), dtype=float)
+    p = make_grid(args.n).points
+    V = verify._sample(A.evaluator, p)
     if not args.out:
         _write_csv(sys.stdout, p, V)
         return 0
@@ -202,8 +201,8 @@ def load_grid_csv(path: str) -> AggregationFunction:
 
     Defined exactly at the dumped sample points; shortest round-trip float
     formatting makes the tabulated values agree with the source bit for
-    bit. A malformed row, and evaluation at a point the dump does not
-    hold, raise QhaggError.
+    bit. At a point the dump does not hold the table is NaN, which a check
+    reports as a witness. A malformed header or row raises QhaggError.
     """
     table: dict[tuple[float, float], float] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -219,10 +218,7 @@ def load_grid_csv(path: str) -> AggregationFunction:
                                  f"got {line.strip()!r}") from None
 
     def lookup(x, y):
-        try:
-            return table[(float(x), float(y))]
-        except KeyError:
-            raise QhaggError(f"{path} has no value at ({float(x)!r}, {float(y)!r})") from None
+        return table.get((float(x), float(y)), np.nan)
 
     return AggregationFunction(evaluator=np.vectorize(lookup, otypes=[float]),
                                provenance="tabulated", name=f"csv:{path}")

@@ -110,18 +110,17 @@ class _Parser:
             raise ParseError(f"trailing input {text!r}", off)
         return Expr(ev, None if inv is _CONST else inv)
 
-    def expr(self):
-        e = self.term()
-        while self._peek()[0] in ("+", "-"):
-            op = self._advance()[0]
-            e = _node(op, e, self.term())
-        return e
+    #: the operators of each binary level of the grammar, loosest first
+    _LEVELS = (("+", "-"), ("*", "/"))
 
-    def term(self):
-        e = self.factor()
-        while self._peek()[0] in ("*", "/"):
-            op = self._advance()[0]
-            e = _node(op, e, self.factor())
+    def expr(self, level=0):
+        """The grammar's ``expr`` at level 0 and ``term`` at 1: a
+        left-associative chain of the next level, or of factors below the last."""
+        if level == len(self._LEVELS):
+            return self.factor()
+        e = self.expr(level + 1)
+        while self._peek()[0] in self._LEVELS[level]:
+            e = _node(self._advance()[0], e, self.expr(level + 1))
         return e
 
     def factor(self):

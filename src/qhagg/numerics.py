@@ -267,6 +267,10 @@ def bisect_increasing(fn, y, *, memo=None):
     memo's cap. A root depends on its target alone, so a remembered root has
     the bits a fresh one would have. A call without ``memo`` does no memo work.
 
+    ``fn(1)`` may be inf, as for an unbounded phi: then ``fn`` and the
+    targets alike are read through v/(1 + v), with inf -> 1, so that every
+    bracket is finite, and a target of inf returns 1.
+
     A lane that cannot converge returns NaN: a NaN target, a target inside
     a jump of ``fn`` (its bracket shrinks to adjacent floats), or one still
     open after MAX_BISECT_ITER rounds.
@@ -277,6 +281,8 @@ def bisect_increasing(fn, y, *, memo=None):
         return np.array(y, dtype=float)
     xs = _BRACKET_TABLE
     fs = elementwise(fn(xs), xs)  # a constant fn is read as a constant sample
+    if fs[-1] == np.inf:
+        fn, y, fs = (lambda x, f=fn: _bounded(f(x))), _bounded(y), _bounded(fs)
 
     def solve(flat):
         inner = (flat > fs[0]) & (flat < fs[-1])
@@ -302,6 +308,13 @@ def bisect_increasing(fn, y, *, memo=None):
         return out
 
     return _solve_between(y, fs[0], fs[-1], solve)
+
+
+def _bounded(v):
+    # [0, inf] -> [0, 1], increasing, with inf -> 1
+    v = np.asarray(v, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(v), 1.0, v / (1.0 + v))
 
 
 def _solve_between(y, f_lo, f_hi, solve):

@@ -194,9 +194,7 @@ class PhiSpec:
         value at 1. With inf, the expression is read on [0, 1) and phi(1) is
         the point at infinity, and phi_inv(inf) = 1. The inverse is the
         expression's closed form when it has one that
-        ``numerics.pinned_inverse`` accepts. Otherwise it is bisection,
-        which for b = inf works through the bounded transform
-        t = phi/(1 + phi), applied to the function and to the target alike.
+        ``numerics.pinned_inverse`` accepts. Otherwise it is bisection.
         """
         unbounded = b is not None
         if unbounded and b != float("inf"):
@@ -219,25 +217,13 @@ class PhiSpec:
                 x = np.asarray(x, dtype=float)
                 inner = np.asarray(eval_expr(e, np.where(x == 1.0, 0.0, x)), dtype=float)
                 return np.where(x == 1.0, np.inf, inner)
-
-            inverse = pinned_inverse(expr.inverse, evaluator)
-            if inverse is None:
-                def squash(v):
-                    # [0, inf] -> [0, 1], increasing, with inf -> 1
-                    v = np.asarray(v, dtype=float)
-                    with np.errstate(invalid="ignore"):
-                        return np.where(np.isinf(v), 1.0, v / (1.0 + v))
-
-                bounded = inverse_evaluator(UnitFunction(lambda x, ev=evaluator: squash(ev(x))))
-                inverse = lambda y: bounded(squash(y))
-            return PhiSpec(b=float("inf"), evaluator=evaluator, inverse=inverse, name=text)
-
-        def evaluator(x, e=expr):
-            return np.asarray(eval_expr(e, x), dtype=float)
+        else:
+            def evaluator(x, e=expr):
+                return np.asarray(eval_expr(e, x), dtype=float)
 
         u = UnitFunction(evaluator, inverse=pinned_inverse(expr.inverse, evaluator))
-        return PhiSpec(b=float(vals[-1]), evaluator=evaluator, inverse=inverse_evaluator(u),
-                       name=text)
+        return PhiSpec(b=b if unbounded else float(vals[-1]), evaluator=evaluator,
+                       inverse=inverse_evaluator(u), name=text)
 
 
 # ----------------------------------------------------------------- reports

@@ -77,6 +77,12 @@ class TestEval:
         assert eval_expr(parse_expr("1-2*x"), 0.5) == 0.0
         assert eval_expr(parse_expr("(1-2)*x"), 0.5) == -0.5
 
+    @pytest.mark.parametrize("text, value", [
+        ("1-2-3", -4.0), ("2-3+4", 3.0), ("8/4/2", 1.0), ("8/4*2", 4.0), ("1+8/4/2-x", 1.5),
+    ])
+    def test_binary_levels_left_associative(self, text, value):
+        assert eval_expr(parse_expr(text), 0.5) == value
+
     def test_power_right_associative(self):
         assert eval_expr(parse_expr("2^3^2"), 0.0) == 512.0
 

@@ -719,6 +719,25 @@ class TestRootBits:
         phi = PhiSpec.from_expr(text, b=math.inf)
         assert _sha256(phi.inverse(UNBOUNDED_TARGETS)) == digest
 
+    @pytest.mark.parametrize("fn", [
+        lambda x: x / (1.0 - x),
+        lambda x: x * x / (1.0 - x) + x,
+    ], ids=["x/(1-x)", "x*x/(1-x)+x"])
+    def test_an_infinite_end_is_bisected_through_v_over_one_plus_v(self, fn):
+        def unbounded(x):
+            with np.errstate(divide="ignore"):
+                return fn(np.asarray(x, dtype=float))
+
+        def bounded(v):
+            v = np.asarray(v, dtype=float)
+            with np.errstate(invalid="ignore"):
+                return np.where(np.isinf(v), 1.0, v / (1.0 + v))
+
+        roots = bisect_increasing(unbounded, UNBOUNDED_TARGETS)
+        assert roots[1] == 1.0 and np.isnan(roots).sum() == 1
+        expected = bisect_increasing(lambda x: bounded(unbounded(x)), bounded(UNBOUNDED_TARGETS))
+        assert np.array_equal(bits(roots), bits(expected))
+
 
 #: 10^4 seeded targets in [0, 1): half uniform, half log-uniform down to 1e-30
 BOUND_TARGETS = np.concatenate([np.random.default_rng(0).uniform(size=5000),

@@ -144,10 +144,25 @@ class TestOutOfRangeTarget:
 
 class TestLoadGridCsv:
     def test_off_grid_lookup(self, tmp_path):
+        # the n = 8 grid holds points the n = 4 dump does not: NaN there
         path = tmp_path / "min.csv"
         assert main(["grid", "--fn", "min", "--n", "4", "--out", str(path)]) == 0
-        with pytest.raises(QhaggError, match=r"no value at \(0\.0, 0\.125\)"):
-            classify(load_grid_csv(str(path)), grid=make_grid(8))
+        report = classify(load_grid_csv(str(path)), grid=make_grid(8))
+        assert report.verdict == NOT_QH
+        assert report.reason == "not an aggregation function: A(0.0,0.125)=nan outside [0,1]"
+        assert report.witness == (1.0, 0.0, 0.125, np.inf)
+
+    def test_classify_at_the_dumps_own_n_has_a_witness_on_its_grid(self, tmp_path):
+        # the table passes the aggregation check on its own grid; the
+        # diagonal's bisection and the sweep read it at points off that grid
+        path, grid = tmp_path / "product.csv", make_grid(4)
+        assert main(["grid", "--fn", "product", "--n", "4", "--out", str(path)]) == 0
+        table = load_grid_csv(str(path))
+        assert check_aggregation(table, grid=grid).passed
+        report = classify(table, grid=grid)
+        assert report.verdict == NOT_QH
+        *point, residual = report.witness
+        assert all(v in grid.points for v in point) and np.isnan(residual)
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
