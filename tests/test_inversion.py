@@ -371,6 +371,14 @@ class TestHashedMemo:
         keys, roots = memo.items()
         assert keys.tolist() == [-0.25, 0.0, 0.25] and roots.tolist() == [0.25, 0.5, 0.75]
 
+    def test_a_memo_at_its_cap(self, monkeypatch):
+        # a table half full, as at the cap, holds the longest clusters a memo gets
+        cap = numerics._MEMO_CAP
+        rng = np.random.default_rng(24)
+        y = rng.uniform(size=cap + 1000)
+        memo = run_kept(monkeypatch, square, [y[:cap], rng.permutation(y)])
+        assert len(memo) == cap and memo._slots.size == 2 * cap
+
     def test_deep_targets(self, monkeypatch):
         rng = np.random.default_rng(22)
         deep = rng.uniform(0.0, 0.05, 500)
