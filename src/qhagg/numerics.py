@@ -167,16 +167,16 @@ class _RootMemo:
     appends to and which grows by an eighth at a time. ``recall`` first files
     new targets in a hash table with linear probing, whose int32 slots index
     ``keys`` (-1 when empty), at most a third full, or half at the cap: 16 to
-    18 B per root in the store and 12 to 24 B in the table. No entry sits
-    more than ``_reach`` slots past its home, so a lookup still open after
-    two probes reads the rest of its reach at once. Targets hash by their
-    bits, a zero as +0.0, and compare by ``==`` as in ``distinct``.
+    18 B per root in the store and 12 to 24 B in the table. No entry is ever
+    deleted, so a lookup probes on until it meets its target or an empty
+    slot. Targets hash by their bits, a zero as +0.0, and compare by ``==``
+    as in ``distinct``.
     """
 
     def __init__(self):
         self.keys = self.roots = np.empty(0)
         self._store = np.empty((2, 0))
-        self._slots, self._held, self._reach = np.empty(0, dtype=np.int32), 0, 0
+        self._slots, self._held = np.empty(0, dtype=np.int32), 0
 
     def __len__(self):
         return self.keys.size
@@ -198,13 +198,10 @@ class _RootMemo:
         h = self._home(t)
         at = slots[h]
         lane = np.flatnonzero((at >= 0) & (keys.take(at) != t))
-        h[lane] = s = (h[lane] + 1) & mask  # one more probe settles most of the rest
-        at[lane] = k = slots[s]
-        lane = lane[(k >= 0) & (keys.take(k) != t[lane])]
-        # the rest read every slot they have left within the reach at once (an
-        # empty slot reads the last key, and gives -1 even where that matches)
-        k = slots[(h[lane, None] + np.arange(1, self._reach)) & mask]
-        at[lane] = np.where(keys.take(k) == t[lane, None], k, -1).max(axis=1, initial=-1)
+        while lane.size:  # a lane whose slot holds another target moves on a slot
+            h[lane] = s = (h[lane] + 1) & mask
+            at[lane] = k = slots[s]
+            lane = lane[(k >= 0) & (keys.take(k) != t[lane])]
         return at
 
     def recall(self, ys):
@@ -213,15 +210,14 @@ class _RootMemo:
         ascending indices of the rest."""
         size = 1 << (min(3 * len(self), 2 * _MEMO_CAP) - 1).bit_length()
         if size > self._slots.size:  # a new table, at least three times the memo
-            self._slots, self._held, self._reach = np.full(size, -1, np.int32), 0, 0
+            self._slots, self._held = np.full(size, -1, np.int32), 0
         new, self._held = np.arange(self._held, len(self), dtype=np.int32), len(self)
-        h, far = self._home(self.keys[new]), 0
-        while new.size:  # each entry left looks ``far`` slots past its home
+        h = self._home(self.keys[new])
+        while new.size:  # each entry takes the first free slot from its home on
             free = self._slots[h] < 0
             self._slots[h[free]] = new[free]
             keep = self._slots[h] != new  # of entries that meet at a free slot, one took it
-            new, h, far = new[keep], (h[keep] + 1) & (self._slots.size - 1), far + 1
-        self._reach = max(self._reach, far - 1)
+            new, h = new[keep], (h[keep] + 1) & (self._slots.size - 1)
         hit = np.zeros(ys.size, dtype=bool)
         for b in range(0, ys.size, _REFINE_BLOCK):
             t, h = ys[b:b + _REFINE_BLOCK], hit[b:b + _REFINE_BLOCK]
@@ -267,9 +263,9 @@ def bisect_increasing(fn, y, *, memo=None):
     memo's cap. A root depends on its target alone, so a remembered root has
     the bits a fresh one would have. A call without ``memo`` does no memo work.
 
-    ``fn(1)`` may be inf, as for an unbounded phi: then ``fn`` and the
-    targets alike are read through v/(1 + v), with inf -> 1, so that every
-    bracket is finite, and a target of inf returns 1.
+    ``fn(1)`` may be inf, as for an unbounded phi: the targets are checked
+    against fn(0) and inf, then ``fn`` and they alike are read through
+    v/(1 + v), with inf -> 1, so that every bracket is finite.
 
     A lane that cannot converge returns NaN: a NaN target, a target inside
     a jump of ``fn`` (its bracket shrinks to adjacent floats), or one still
@@ -281,11 +277,13 @@ def bisect_increasing(fn, y, *, memo=None):
         return np.array(y, dtype=float)
     xs = _BRACKET_TABLE
     fs = elementwise(fn(xs), xs)  # a constant fn is read as a constant sample
-    if fs[-1] == np.inf:
-        fn, y, fs = (lambda x, f=fn: _bounded(f(x))), _bounded(y), _bounded(fs)
+    f_lo, f_hi = fs[0], fs[-1]
+    if f_hi == np.inf:
+        fn, fs = (lambda x, f=fn: _bounded(f(x))), _bounded(fs)
 
     def solve(flat):
-        inner = (flat > fs[0]) & (flat < fs[-1])
+        inner = (flat > f_lo) & (flat < f_hi)  # fn's own ends: a target read as 1 refines to 1
+        flat = _bounded(flat) if f_hi == np.inf else flat
         # a memo that holds roots gives the remembered targets theirs; the rest are refined
         roots = flat[inner] if memo else None
         miss = memo.recall(roots) if memo else None
@@ -307,7 +305,7 @@ def bisect_increasing(fn, y, *, memo=None):
             out[inner] = roots
         return out
 
-    return _solve_between(y, fs[0], fs[-1], solve)
+    return _solve_between(y, f_lo, f_hi, solve)
 
 
 def _bounded(v):

@@ -901,8 +901,28 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             phi.invert(-1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["x/(1-x)", "1/(1-x)-1"], ids=["bisected", "closed form"])
+    def test_unbounded_phi_reports_a_negative_target_as_given(self, text):
+        # v/(1+v) reads -0.5 as -1.0 and -2.0 as 2.0, and divides by zero at -1.0
+        phi = PhiSpec.from_expr(text, b=math.inf)
+        for y in (-0.5, -1.0, -2.0):
+            with pytest.raises(DomainError) as info:
+                phi.invert(y)
+            assert str(info.value) == (
+                f"target {y!r} is not bracketed by [0.0, 1.0] (no solution within tol)")
+        assert np.array_equal(phi.invert(np.array([1e300, math.inf])), [1.0, 1.0])
+
     def test_the_catalog_power_extrapolates(self):
         assert power_function(2).invert(2.25) == 1.5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_the_catalog_power_has_no_preimage_below_zero(self, c):
+        # x^0.5's formula y^2 gave 0.0625 at -0.25; x^2's sqrt warned
+        assert math.isnan(power_function(c).invert(-0.25))
+        assert np.isnan(power_function(c).invert(np.array([-0.25, -1e-300]))).all()
+        assert power_function(c).invert(-0.0) == 0.0
 
 
 _BISECTED = UnitFunction(evaluator=power_function(2).evaluator, continuous_bijection=True,
