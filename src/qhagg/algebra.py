@@ -106,8 +106,13 @@ def power_function(c: float) -> UnitFunction:
 
 
 def bounded_rational() -> UnitFunction:
-    """2x/(1+x): a continuous bijection of [0, 1] with inverse y/(2-y)."""
-    return _bijection(lambda x: 2.0 * x / (1.0 + x), lambda y: y / (2.0 - y), "2x/(1+x)")
+    """2x/(1+x): a continuous bijection of [0, 1] with inverse y/(2-y). Its
+    inverse gives NaN at and past 2, the supremum of 2x/(1+x) on [0, inf)."""
+    def inverse(y):
+        y = np.where(y < 2.0, y, np.nan)
+        return y / (2.0 - y)
+
+    return _bijection(lambda x: 2.0 * x / (1.0 + x), inverse, "2x/(1+x)")
 
 
 def _check_samples(name: str, values: np.ndarray, points: np.ndarray,

@@ -5,6 +5,10 @@ that ran and refuted the property, or an I/O failure), 2 = usage, parse or
 validation error, or a grid too large to allocate. Machine-readable lines
 (``RESULT ...``) carry no timestamps and use shortest round-trip float
 formatting, so identical invocations are byte-identical.
+
+``main`` returns the exit code and never ends the process, so it can be
+called in process. A ``qhagg`` process enters through ``run``, which flushes
+both streams after ``main`` returns and ends with ``os._exit``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -324,5 +329,24 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Process entry point: ``main()``, then flush stdout and stderr and
+    end the process at once with main's exit code.
+
+    The hard exit skips the interpreter's teardown, which frees every
+    object and module just before the process ends anyway: about 11 ms a
+    process with numpy and qhagg imported (17 ms against 6 ms for a bare
+    interpreter). It skips ``atexit`` handlers too, and output still
+    buffered in streams other than these two; qhagg writes ``--out``
+    files through ``with`` blocks that close before ``main`` returns. A
+    ``SystemExit`` from argparse, or an exception that ``main`` does not
+    turn into an exit code, leaves through the interpreter's normal exit.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -166,6 +166,7 @@ class PhiSpec:
         inverse u keeps (``u.invert``), so every PhiSpec of one u, whatever
         its c, shares one root memo. With c = 1 the pair is u_inv and u
         themselves: x^1 is x bit for bit, so no power pass is computed.
+        Otherwise a negative target has no preimage, and its inverse is NaN.
         """
         if not u.continuous_bijection:
             raise ContractError(
@@ -179,7 +180,8 @@ class PhiSpec:
                 return np.power(np.asarray(ui(x), dtype=float), cc)
 
             def inverse(y, ev=u.evaluator, e=1.0 / c):
-                return ev(np.power(np.asarray(y, dtype=float), e))
+                y = np.asarray(y, dtype=float)
+                return ev(np.power(np.where(y < 0.0, np.nan, y), e))
 
         return PhiSpec(b=1.0, evaluator=evaluator, inverse=inverse,
                        name=f"({u.name})^-1" + (f"^{c:g}" if c != 1.0 else ""))

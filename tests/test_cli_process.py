@@ -70,3 +70,21 @@ def test_a_large_dump_to_a_regular_file_arrives_whole(tmp_path):
     data = redirected.read_bytes()
     assert len(data) > 4_000_000
     assert data == written.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["check-pass", "check-refuted", "qhagg-error"])
+def test_run_ends_the_process_with_mains_code(case, monkeypatch, capsys):
+    ended = []
+    monkeypatch.setattr(sys, "argv", ["qhagg", *ARGVS[case]])
+    monkeypatch.setattr(os, "_exit", ended.append)
+    cli.run()
+    assert ended == [EXIT_CODES[case]]
+
+
+def test_a_usage_error_leaves_run_through_the_normal_exit(monkeypatch, capsys):
+    ended = []
+    monkeypatch.setattr(sys, "argv", ["qhagg", *ARGVS["usage-error"]])
+    monkeypatch.setattr(os, "_exit", ended.append)
+    with pytest.raises(SystemExit) as info:
+        cli.run()
+    assert info.value.code == 2 and ended == []

@@ -21,10 +21,10 @@ import pytest
 from conftest import counted_refine, strip_inverse
 
 from qhagg import (CLASS1, NOT_QH, ContractError, DomainError, GeneratorTriple, PhiSpec, PsiSpec,
-                   UnitFunction, aggregation_from_combiner, bisect_increasing, canonical_pair,
-                   catalog_lookup, check_quasi_homogeneity, classify, diagonal, from_triple,
-                   invert_monotone, make_grid, numerics, power_function, unit_function_from_expr,
-                   validate_triple)
+                   UnitFunction, aggregation_from_combiner, bisect_increasing, bounded_rational,
+                   canonical_pair, catalog_lookup, check_quasi_homogeneity, classify, diagonal,
+                   from_triple, invert_monotone, make_grid, numerics, power_function,
+                   unit_function_from_expr, validate_triple)
 from qhagg.exprparse import eval_expr, parse_expr
 from qhagg.numerics import _BRACKET_TABLE, _REFINE_BLOCK, distinct
 
@@ -923,6 +923,23 @@ class TestClosedForm:
         assert math.isnan(power_function(c).invert(-0.25))
         assert np.isnan(power_function(c).invert(np.array([-0.25, -1e-300]))).all()
         assert power_function(c).invert(-0.0) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_a_power_of_an_inverse_has_no_preimage_below_zero(self, c):
+        # (x^2)(y^(1/c)) gave 0.00390625 at -0.25 for c = 0.5; the root warned for c = 2
+        phi = PhiSpec.inverse_of(power_function(2), c)
+        assert math.isnan(phi.invert(-0.25))
+        assert np.isnan(phi.invert(np.array([-0.25, -1e-300]))).all()
+        assert phi.invert(0.25) == power_function(2)(0.25 ** (1.0 / c))
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_catalog_rational_has_no_preimage_at_or_past_two(self):
+        # y/(2-y) divided by zero at 2 and gave -3.0 at 3; below 2 it extrapolates
+        u = bounded_rational()
+        assert math.isnan(u.invert(2.0))
+        assert np.isnan(u.invert(np.array([2.0, 3.0, math.inf]))).all()
+        assert u.invert(1.5) == 3.0 and u.invert(-1.0) == -1.0 / 3.0
 
 
 _BISECTED = UnitFunction(evaluator=power_function(2).evaluator, continuous_bijection=True,
