@@ -5,6 +5,8 @@ as ``cli.main(ARGV)`` in this one. The exit code, stdout and stderr must
 be identical, on every exit path (a pass, a refutation, a library error,
 an argparse usage error, ``--help``). A dump of several MiB written to a
 regular file must arrive whole, byte for byte as ``--out`` writes it.
+``cli.run``, the process entry point, ends the process with main's code
+and leaves an argparse ``SystemExit`` to the interpreter's normal exit.
 """
 
 from __future__ import annotations
