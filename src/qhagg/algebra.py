@@ -97,10 +97,12 @@ def identity() -> UnitFunction:
 
 
 def power_function(c: float) -> UnitFunction:
-    """x^c on [0, 1]; a continuous bijection for every c > 0. Its inverse
+    """x^c on [0, 1]; a continuous bijection for every finite c > 0. Its inverse
     extends past 1, and gives NaN for a negative target, which has no preimage."""
     if not c > 0:
         raise DomainError(f"power exponent must be positive, got {c}")
+    if c == np.inf:
+        raise DomainError(f"power exponent must be finite, got {c}")
     return _bijection(lambda x, c=c: np.power(x, c),
                       lambda y, e=1.0 / c: np.power(np.where(y < 0.0, np.nan, y), e), f"x^{c:g}")
 

@@ -25,7 +25,7 @@ from . import verify
 from .algebra import AggregationFunction, aggregation_from_combiner, unit_function_from_expr
 from .construct import GeneratorTriple, catalog_describe, catalog_lookup, from_triple
 from .errors import QhaggError
-from .numerics import make_grid
+from .numerics import DEFAULT_GRID_N, make_grid
 from .verify import PhiSpec, PsiSpec
 
 # ----------------------------------------------------------- function specs
@@ -270,16 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scaling bijection as an expression (default x)")
     p_check.add_argument("--phi-b", dest="phi_b", default=None, choices=("inf",),
                          help="'inf' to read the phi expression on [0,1) with phi(1)=inf")
-    p_check.add_argument("--grid", type=int, default=100, metavar="N",
-                         help="grid resolution (N+1 points per axis, default 100)")
+    p_check.add_argument("--grid", type=int, default=DEFAULT_GRID_N, metavar="N",
+                         help="grid resolution (N+1 points per axis, default %(default)s)")
     p_check.add_argument("--tol", type=float, default=None,
                          help="tolerance (default 1e-9; 1e-6 for classify)")
     p_check.set_defaults(func=cmd_check)
 
     p_grid = sub.add_parser("grid", help="dump A on a grid as CSV", allow_abbrev=False)
     _add_spec_flags(p_grid)
-    p_grid.add_argument("--n", type=int, default=100,
-                        help="grid resolution (default 100)")
+    p_grid.add_argument("--n", type=int, default=DEFAULT_GRID_N,
+                        help="grid resolution (default %(default)s)")
     p_grid.add_argument("--out", help="output path (default stdout)")
     p_grid.set_defaults(func=cmd_grid)
 

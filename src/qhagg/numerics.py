@@ -10,6 +10,7 @@ contract and the one inverse a function keeps, so no flag is read here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,13 @@ def make_grid(n: int) -> Grid:
 
     Exact endpoints matter: the discontinuous canonical classes live
     precisely on the boundary of the unit square, so it must be sampled
-    without offset.
+    without offset. n is read as an integer (``operator.index``), so a
+    float, even an integral one, is refused.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"grid resolution must be an integer, got {n!r}") from None
     if n < 1:
         raise DomainError(f"grid resolution must be >= 1, got {n}")
     return Grid(points=np.arange(n + 1) / n, n=n)

@@ -65,7 +65,7 @@ _PSI_KINDS = ("power", "step0", "step1")
 class PsiSpec:
     """One of the three admissible scaling functions.
 
-    power : psi(x) = x^c, c > 0
+    power : psi(x) = x^c, c > 0 finite
     step0 : 0 at x = 0, 1 on (0, 1]   (step at zero)
     step1 : 0 on [0, 1), 1 at x = 1   (step at one)
 
@@ -81,6 +81,8 @@ class PsiSpec:
             raise DomainError(f"unknown psi kind {self.kind!r}")
         if self.kind == "power" and not self.c > 0:
             raise DomainError(f"power scaling needs c > 0, got {self.c}")
+        if self.kind == "power" and self.c == np.inf:
+            raise DomainError(f"power scaling needs a finite c, got {self.c}")
 
     @staticmethod
     def power(c: float) -> "PsiSpec":
@@ -162,29 +164,22 @@ class PhiSpec:
 
         The canonical scaling pair of a bijective-diagonal function is
         psi = power(c), phi = (diagonal_inv)^c; with c = 1 this is the
-        normalized pair (psi = id, phi = diagonal_inv). u_inv is the one
-        inverse u keeps (``u.invert``), so every PhiSpec of one u, whatever
-        its c, shares one root memo. With c = 1 the pair is u_inv and u
-        themselves: x^1 is x bit for bit, so no power pass is computed.
-        Otherwise a negative target has no preimage, and its inverse is NaN.
+        normalized pair (psi = id, phi = diagonal_inv). phi is p o u_inv and
+        phi_inv is u o p_inv, where p is ``power_function(c)``, the one home
+        of x^c's inverse and its NaN rule, or ``identity()`` for c = 1, which
+        computes no power pass. u_inv is the one inverse u keeps
+        (``u.invert``), so every PhiSpec of one u, whatever its c, shares one
+        root memo.
         """
         if not u.continuous_bijection:
             raise ContractError(
                 f"inverse_of needs a declared continuous bijection, got {u!r}")
         if not c > 0:
             raise DomainError(f"exponent must be positive, got {c}")
-        if c == 1.0:
-            evaluator, inverse = u.invert, u.evaluator
-        else:
-            def evaluator(x, ui=u.invert, cc=c):
-                return np.power(np.asarray(ui(x), dtype=float), cc)
-
-            def inverse(y, ev=u.evaluator, e=1.0 / c):
-                y = np.asarray(y, dtype=float)
-                return ev(np.power(np.where(y < 0.0, np.nan, y), e))
-
-        return PhiSpec(b=1.0, evaluator=evaluator, inverse=inverse,
-                       name=f"({u.name})^-1" + (f"^{c:g}" if c != 1.0 else ""))
+        p = identity() if c == 1.0 else power_function(c)
+        return PhiSpec(b=1.0, evaluator=lambda x, pe=p.evaluator, ui=u.invert: pe(ui(x)),
+                       inverse=lambda y, ue=u.evaluator, pi=p.inverse: ue(pi(y)),
+                       name=p.name.replace("x", f"({u.name})^-1", 1))
 
     @staticmethod
     def from_expr(text: str, *, b: float | None = None,
@@ -553,6 +548,8 @@ def check_homogeneous_order(F, k: float, grid: Grid | None = None,
     """
     if not k > 0:
         raise DomainError(f"homogeneity order must be positive, got {k}")
+    if k == np.inf:
+        raise DomainError(f"homogeneity order must be finite, got {k}")
     g = grid or default_grid()
     base = _sample(F, g.points)
     return _sweep(F, lambda L: np.power(L, k) * base, g, tol, f"homogeneity of order {k:g}")

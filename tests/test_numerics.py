@@ -37,6 +37,19 @@ class TestMakeGrid:
         assert np.all(np.diff(g.points) > 0)
         assert len(g) == 38
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, float("nan"), float("inf"), "3", None])
+    def test_a_resolution_that_is_not_an_integer_is_refused(self, n):
+        with pytest.raises(DomainError) as info:
+            make_grid(n)
+        assert str(info.value) == f"grid resolution must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)],
+                             ids=["int", "int64", "int32", "uint8"])
+    def test_an_integer_resolution_of_any_integer_type_builds_the_grid(self, n):
+        g = make_grid(n)
+        assert g.n == 3 and len(g) == 4
+        np.testing.assert_array_equal(g.points, [0.0, 1 / 3, 2 / 3, 1.0])
+
 
 class TestInvertMonotone:
     def test_identity(self):
