@@ -65,7 +65,7 @@ _PSI_KINDS = ("power", "step0", "step1")
 class PsiSpec:
     """One of the three admissible scaling functions.
 
-    power : psi(x) = x^c, c > 0 finite
+    power : psi(x) = x^c, read from ``power_function(c)``, which refuses c
     step0 : 0 at x = 0, 1 on (0, 1]   (step at zero)
     step1 : 0 on [0, 1), 1 at x = 1   (step at one)
 
@@ -75,14 +75,13 @@ class PsiSpec:
 
     kind: str
     c: float = 1.0
+    _power: UnitFunction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _PSI_KINDS:
             raise DomainError(f"unknown psi kind {self.kind!r}")
-        if self.kind == "power" and not self.c > 0:
-            raise DomainError(f"power scaling needs c > 0, got {self.c}")
-        if self.kind == "power" and self.c == np.inf:
-            raise DomainError(f"power scaling needs a finite c, got {self.c}")
+        if self.kind == "power":
+            object.__setattr__(self, "_power", power_function(self.c))
 
     @staticmethod
     def power(c: float) -> "PsiSpec":
@@ -99,7 +98,7 @@ class PsiSpec:
     def __call__(self, lam):
         x = np.asarray(lam, dtype=float)
         if self.kind == "power":
-            out = np.power(x, self.c)
+            out = self._power.evaluator(x)
         elif self.kind == "step0":
             out = np.where(x > 0.0, 1.0, 0.0)
         else:
@@ -174,8 +173,6 @@ class PhiSpec:
         if not u.continuous_bijection:
             raise ContractError(
                 f"inverse_of needs a declared continuous bijection, got {u!r}")
-        if not c > 0:
-            raise DomainError(f"exponent must be positive, got {c}")
         p = identity() if c == 1.0 else power_function(c)
         return PhiSpec(b=1.0, evaluator=lambda x, pe=p.evaluator, ui=u.invert: pe(ui(x)),
                        inverse=lambda y, ue=u.evaluator, pi=p.inverse: ue(pi(y)),
@@ -544,15 +541,11 @@ def check_homogeneous_order(F, k: float, grid: Grid | None = None,
     """Verify F(lam x, lam y) = lam^k F(x, y) over the grid cubed.
 
     ``F`` is an AggregationFunction or any elementwise bivariate callable
-    (for example a composite like diagonal_inv o A).
+    (for example a composite like diagonal_inv o A); lam^k is ``power_function(k)``.
     """
-    if not k > 0:
-        raise DomainError(f"homogeneity order must be positive, got {k}")
-    if k == np.inf:
-        raise DomainError(f"homogeneity order must be finite, got {k}")
-    g = grid or default_grid()
+    p, g = power_function(k), grid or default_grid()
     base = _sample(F, g.points)
-    return _sweep(F, lambda L: np.power(L, k) * base, g, tol, f"homogeneity of order {k:g}")
+    return _sweep(F, lambda L: p.evaluator(L) * base, g, tol, f"homogeneity of order {k:g}")
 
 
 # ------------------------------------------------------------ psi recovery

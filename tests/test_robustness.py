@@ -182,14 +182,14 @@ class TestLoadGridCsv:
 
 @pytest.mark.parametrize("call, text", [
     (lambda: power_function(0), "power exponent must be positive, got 0"),
-    (lambda: PhiSpec.inverse_of(identity(), 0), "exponent must be positive, got 0"),
+    (lambda: PhiSpec.inverse_of(identity(), 0), "power exponent must be positive, got 0"),
     (lambda: PhiSpec.from_expr("x", b=2.0), "phi expression 'x': b must be None or inf, got 2.0"),
     (lambda: power_function(np.inf), "power exponent must be finite, got inf"),
     (lambda: PhiSpec.power(np.inf), "power exponent must be finite, got inf"),
     (lambda: PhiSpec.inverse_of(identity(), np.inf), "power exponent must be finite, got inf"),
-    (lambda: PsiSpec.power(np.inf), "power scaling needs a finite c, got inf"),
+    (lambda: PsiSpec.power(np.inf), "power exponent must be finite, got inf"),
     (lambda: check_homogeneous_order(catalog_lookup("product"), np.inf, grid=G10),
-     "homogeneity order must be finite, got inf"),
+     "power exponent must be finite, got inf"),
 ], ids=["power_function(0)", "inverse_of(identity(), 0)", "from_expr('x', b=2.0)",
         "power_function(inf)", "PhiSpec.power(inf)", "inverse_of(identity(), inf)",
         "PsiSpec.power(inf)", "check_homogeneous_order(F, inf)"])
@@ -204,7 +204,7 @@ def test_an_overflowing_psi_exponent_is_a_usage_error(capsys):
                  "--grid", "10"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
-        2, "", "error: power scaling needs a finite c, got inf\n")
+        2, "", "error: power exponent must be finite, got inf\n")
 
 
 # -- generated expression inputs --------------------------------------------
