@@ -174,9 +174,18 @@ class PhiSpec:
             raise ContractError(
                 f"inverse_of needs a declared continuous bijection, got {u!r}")
         p = identity() if c == 1.0 else power_function(c)
+
+        def inverse(y, ue=u.evaluator, pi=p.inverse):
+            # one reduction: a sweep's targets, all >= 0, take no mask pass
+            if not y.size or y.min() >= 0.0:
+                return ue(pi(y))
+            keep = y >= 0.0  # False at NaN too, so u never reads those lanes
+            out = np.full(y.shape, np.nan)
+            out[keep] = ue(pi(y[keep]))
+            return out
+
         return PhiSpec(b=1.0, evaluator=lambda x, pe=p.evaluator, ui=u.invert: pe(ui(x)),
-                       inverse=lambda y, ue=u.evaluator, pi=p.inverse: ue(pi(y)),
-                       name=p.name.replace("x", f"({u.name})^-1", 1))
+                       inverse=inverse, name=p.name.replace("x", f"({u.name})^-1", 1))
 
     @staticmethod
     def from_expr(text: str, *, b: float | None = None,
@@ -585,6 +594,10 @@ def _power_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, str]:
         return c, resid, f"fitted exponent {c:g} is not positive"
     if not resid <= POWER_FIT_TOL:
         return c, resid, f"power fit residual {resid:g} above {POWER_FIT_TOL:g}"
+    try:
+        power_function(c)
+    except DomainError as e:
+        return c, resid, str(e)
     return c, resid, ""
 
 

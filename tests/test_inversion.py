@@ -9,6 +9,7 @@ these tests are deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import math
@@ -932,6 +933,23 @@ class TestClosedForm:
         assert math.isnan(phi.invert(-0.25))
         assert np.isnan(phi.invert(np.array([-0.25, -1e-300]))).all()
         assert phi.invert(0.25) == power_function(2)(0.25 ** (1.0 / c))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("make", [lambda: power_function(2),
+                                      lambda: unit_function_from_expr("x*x",
+                                                                      continuous_bijection=True)],
+                             ids=["power(2)", "expr(x*x)"])
+    def test_an_inverse_of_has_no_preimage_below_zero_or_at_nan(self, make, c):
+        # c = 1 gave u(-0.25) = 0.0625; an expression u raised EvalError for c != 1
+        u, read = make(), []
+        u = dataclasses.replace(u, evaluator=lambda x, ev=u.evaluator: read.append(x) or ev(x))
+        phi = PhiSpec.inverse_of(u, c)
+        got = phi.invert(np.array([-0.25, math.nan, 0.25, -1e-300]))
+        assert math.isnan(phi.invert(-0.25)) and math.isnan(phi.invert(math.nan))
+        assert np.isnan(got[[0, 1, 3]]).all()
+        assert got[2] == power_function(2)(0.25 ** (1.0 / c))
+        assert read and all((np.asarray(x) >= 0.0).all() for x in read)  # u never read there
 
     @pytest.mark.filterwarnings("error")
     def test_the_catalog_rational_has_no_preimage_at_or_past_two(self):

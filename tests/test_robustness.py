@@ -190,9 +190,21 @@ class TestLoadGridCsv:
     (lambda: PsiSpec.power(np.inf), "power exponent must be finite, got inf"),
     (lambda: check_homogeneous_order(catalog_lookup("product"), np.inf, grid=G10),
      "power exponent must be finite, got inf"),
+    (lambda: power_function(1e-300),
+     "power exponent is too small: x^c rounds to 1 at x = 0.5, got 1e-300"),
+    (lambda: PsiSpec.power(5e-324),
+     "power exponent is too small: x^c rounds to 1 at x = 0.5, got 5e-324"),
+    (lambda: PhiSpec.power(1e-17),
+     "power exponent is too small: x^c rounds to 1 at x = 0.5, got 1e-17"),
+    (lambda: PhiSpec.inverse_of(identity(), 1e-300),
+     "power exponent is too small: x^c rounds to 1 at x = 0.5, got 1e-300"),
+    (lambda: check_homogeneous_order(catalog_lookup("product"), 1e-300, grid=G10),
+     "power exponent is too small: x^c rounds to 1 at x = 0.5, got 1e-300"),
 ], ids=["power_function(0)", "inverse_of(identity(), 0)", "from_expr('x', b=2.0)",
         "power_function(inf)", "PhiSpec.power(inf)", "inverse_of(identity(), inf)",
-        "PsiSpec.power(inf)", "check_homogeneous_order(F, inf)"])
+        "PsiSpec.power(inf)", "check_homogeneous_order(F, inf)",
+        "power_function(1e-300)", "PsiSpec.power(5e-324)", "PhiSpec.power(1e-17)",
+        "inverse_of(identity(), 1e-300)", "check_homogeneous_order(F, 1e-300)"])
 def test_out_of_domain_parameter_is_a_domain_error(call, text):
     with pytest.raises(DomainError) as info:
         call()
@@ -205,6 +217,15 @@ def test_an_overflowing_psi_exponent_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         2, "", "error: power exponent must be finite, got inf\n")
+
+
+def test_a_vanishing_psi_exponent_is_a_usage_error(capsys):
+    # x^1e-300 rounds to a step; it ran a sweep and exited 1
+    code = main(["check", "--fn", "product", "--mode", "qh", "--psi", "power:c=1e-300",
+                 "--grid", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: power exponent is too small: x^c rounds to 1 at x = 0.5, got 1e-300\n")
 
 
 # -- generated expression inputs --------------------------------------------

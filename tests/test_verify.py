@@ -363,6 +363,17 @@ class TestRecoverPsi:
         rec = recover_psi(class_flat(0.2, 0.7), PhiSpec.identity(), grid=GRID)
         assert rec.fitted == PsiSpec.step_at_zero()
 
+    def test_a_vanishing_fitted_exponent_is_no_fit(self):
+        # samples 1 but one ulp below at lam = 0.5 fit x^6.9e-18, a step, which
+        # recover_psi used to report as a fitted power
+        A = AggregationFunction(
+            lambda x, y: np.where((x == 0.5) & (y == 0.5), 1.0 - 2.0**-53,
+                                  np.where(np.minimum(x, y) > 0.0, 1.0, 0.0)),
+            provenance="one but an ulp below at (0.5, 0.5)")
+        rec = recover_psi(A, PhiSpec.identity(), grid=make_grid(10))
+        assert rec.fitted is None
+        assert rec.note.startswith("power exponent is too small")
+
     def test_mismatched_phi_reports_no_fit(self):
         rec = recover_psi(mean_function(),
                           PhiSpec.from_unit_function(bounded_rational()),
