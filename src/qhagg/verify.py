@@ -65,7 +65,7 @@ _PSI_KINDS = ("power", "step0", "step1")
 class PsiSpec:
     """One of the three admissible scaling functions.
 
-    power : psi(x) = x^c, read from ``power_function(c)``, which refuses c
+    power : psi(x) = x^c by ``power_function(c)``, which checks c
     step0 : 0 at x = 0, 1 on (0, 1]   (step at zero)
     step1 : 0 on [0, 1), 1 at x = 1   (step at one)
 
@@ -165,10 +165,11 @@ class PhiSpec:
         psi = power(c), phi = (diagonal_inv)^c; with c = 1 this is the
         normalized pair (psi = id, phi = diagonal_inv). phi is p o u_inv and
         phi_inv is u o p_inv, where p is ``power_function(c)``, the one home
-        of x^c's inverse and its NaN rule, or ``identity()`` for c = 1, which
-        computes no power pass. u_inv is the one inverse u keeps
-        (``u.invert``), so every PhiSpec of one u, whatever its c, shares one
-        root memo.
+        of x^c, its inverse and the exponent rules, or ``identity()`` for
+        c = 1, which computes no power pass. phi_inv gives NaN for a target
+        below 0 or NaN, for every c and u, and never reads u there. u_inv is
+        the one inverse u keeps (``u.invert``), so every PhiSpec of one u,
+        whatever its c, shares one root memo.
         """
         if not u.continuous_bijection:
             raise ContractError(
