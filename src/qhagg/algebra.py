@@ -98,7 +98,7 @@ def identity() -> UnitFunction:
 
 def power_function(c: float) -> UnitFunction:
     """x^c on [0, 1]; a continuous bijection for every finite c > 0 large
-    enough that 0.5^c < 1 (below about 1e-16, x^c rounds to a step). The one
+    enough that 0.5^c < 1 (below about 8e-17, x^c rounds to a step). The one
     home of x^c and of its exponent rules. Its inverse extends past 1, and
     gives NaN for a negative target, which has no preimage."""
     if not c > 0:

@@ -75,13 +75,12 @@ class PsiSpec:
 
     kind: str
     c: float = 1.0
-    _power: UnitFunction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _PSI_KINDS:
             raise DomainError(f"unknown psi kind {self.kind!r}")
         if self.kind == "power":
-            object.__setattr__(self, "_power", power_function(self.c))
+            power_function(self.c)
 
     @staticmethod
     def power(c: float) -> "PsiSpec":
@@ -98,7 +97,7 @@ class PsiSpec:
     def __call__(self, lam):
         x = np.asarray(lam, dtype=float)
         if self.kind == "power":
-            out = self._power.evaluator(x)
+            out = power_function(self.c).evaluator(x)
         elif self.kind == "step0":
             out = np.where(x > 0.0, 1.0, 0.0)
         else:

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -74,6 +75,11 @@ class TestPsiSpec:
             PsiSpec.power(0.0)
         with pytest.raises(DomainError):
             PsiSpec("sigmoid")
+
+    def test_a_psi_pickles_as_its_kind_and_exponent(self):
+        for psi in (PsiSpec.power(2), PsiSpec.step_at_one()):
+            again = pickle.loads(pickle.dumps(psi))
+            assert again == psi and again(0.5) == psi(0.5)
 
     def test_describe_round_trips_flag_grammar(self):
         assert PsiSpec.power(2).describe() == "power:c=2"
