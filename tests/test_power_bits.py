@@ -1,11 +1,12 @@
-"""The power scaling function x^c and homogeneity of order k, pinned to the bit.
+"""The scaling functions psi and homogeneity of order k, pinned to the bit.
 
 SHA-256 of the float64 bytes of ``PsiSpec.power(c)`` on the grid n = 50 for
-four exponents; the bits (``float.hex``) of the largest residual and of its
-witness of ``check_homogeneous_order`` on the product at three orders, on
-the grid n = 20; and the text of one quasi-homogeneity report whose psi is
-a power. A change to where x^c is evaluated leaves every outcome as it is.
-"""
+four exponents, and of the two step indicators there, with their values at
+the scalars 0, 0.5 and 1; the bits (``float.hex``) of the largest residual
+and of its witness of ``check_homogeneous_order`` on the product at three
+orders, on the grid n = 20; and the text of one quasi-homogeneity report
+whose psi is a power. A change to where psi is evaluated leaves every
+outcome as it is."""
 
 from __future__ import annotations
 
@@ -22,6 +23,14 @@ PSI_POWER = {
     1.0: "5431379cc5eba1f7abc5abef5d8ea2d0961ca5a03a1f09a085db1d88920687d0",
     2.0: "14a3aac5e1b78c9a53d435c781be964f5427e78f3685623f022a5f1ba3603518",
     4.0: "fd56d1d3ad5ce56b95516fbee2eb0658416fb7592a14d58d2ba629b9e246b48b",
+}
+
+#: kind -> (SHA-256 on the grid n = 50, values at the scalars 0, 0.5 and 1)
+PSI_STEP = {
+    "step0": ("328322237aae59937a69418ff437e7e54cc690b76ddf24f6e03adb37e9ad0665",
+              (0.0, 1.0, 1.0)),
+    "step1": ("0e3cd33d2fc5dd50ecfe3a92d2af6538b0d01ac87d5b08c573a7a4fb65976fa6",
+              (0.0, 0.0, 1.0)),
 }
 
 #: k -> (max_residual, witness (lam, x, y)), each as float.hex
@@ -44,6 +53,17 @@ def test_power_psi_bits(c):
     values = PsiSpec.power(c)(make_grid(50).points)
     digest = hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
     assert digest == PSI_POWER[c]
+
+
+@pytest.mark.parametrize("psi", [PsiSpec.step_at_zero(), PsiSpec.step_at_one()],
+                         ids=lambda psi: psi.kind)
+def test_step_psi_bits(psi):
+    values = psi(make_grid(50).points)
+    digest = hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+    scalars = tuple(psi(x) for x in (0.0, 0.5, 1.0))
+    assert all(type(v) is float for v in scalars)
+    assert (digest, tuple(v.hex() for v in scalars)) == (
+        PSI_STEP[psi.kind][0], tuple(v.hex() for v in PSI_STEP[psi.kind][1]))
 
 
 @pytest.mark.parametrize("k", list(HOMOGENEITY))
