@@ -344,12 +344,6 @@ def _harmonic_min(x, y):
     return np.where(x < y, harm, y)
 
 
-def _same(x):
-    # the diagonal of an idempotent member, A(x, x) = x; a new array, never
-    # x itself, since bisection samples a read-only table through it
-    return np.array(x, dtype=float)
-
-
 def _named(evaluator, name: str, diagonal=None) -> AggregationFunction:
     return AggregationFunction(evaluator, provenance=name, name=name, diagonal=diagonal)
 
@@ -376,13 +370,14 @@ def _build_boundary(params):
 
 
 _CATALOG = {
-    "min": ("minimum of the two arguments", (), lambda params: _named(np.minimum, "min", _same)),
-    "max": ("maximum of the two arguments", (), lambda params: _named(np.maximum, "max", _same)),
+    # the idempotent members declare A(x, x) = x as a copy: bisection samples a read-only table
+    "min": ("minimum of the two arguments", (), lambda params: _named(np.minimum, "min", np.copy)),
+    "max": ("maximum of the two arguments", (), lambda params: _named(np.maximum, "max", np.copy)),
     "product": ("ordinary product x*y", (),
                 lambda params: _named(lambda x, y: x * y, "product")),
     "drastic": ("0 when both arguments are below 1, else min", (), _build_drastic),
     "harmonic_min": ("harmonic mean below the diagonal, min above", (),
-                     lambda params: _named(_harmonic_min, "harmonic_min", _same)),
+                     lambda params: _named(_harmonic_min, "harmonic_min", np.copy)),
     "flat": ("constant 1 on (0,1]^2 with boundary constants alpha, beta",
              ("alpha", "beta"), _build_flat),
     "boundary_only": ("0 on [0,1)^2 with boundary sections g, h",

@@ -193,11 +193,10 @@ _SOLVE_LEFT = {
     "^": lambda t, c: np.power(t, 1.0 / c) if c != 0.0 else _nan_like(t),
 }
 
-#: op -> the target of ``e`` in ``c op e``
+#: op -> the target of ``e`` in ``c op e``; + and * commute
 _SOLVE_RIGHT = {
-    "+": lambda t, c: t - c,
+    **_SOLVE_LEFT,
     "-": lambda t, c: c - t,
-    "*": lambda t, c: t / c if c != 0.0 else _nan_like(t),
     "/": lambda t, c: c / t,
     "^": lambda t, c: np.log(t) / np.log(c) if c > 0.0 and c != 1.0 else _nan_like(t),
 }

@@ -58,7 +58,11 @@ __all__ = [
 
 # ------------------------------------------------------------------- psi
 
-_PSI_KINDS = ("power", "step0", "step1")
+#: the two step indicators, by kind; the power kind is ``power_function(c)``
+_STEPS = {
+    "step0": lambda x: np.where(x > 0.0, 1.0, 0.0),
+    "step1": lambda x: np.where(x == 1.0, 1.0, 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -77,10 +81,10 @@ class PsiSpec:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _PSI_KINDS:
-            raise DomainError(f"unknown psi kind {self.kind!r}")
         if self.kind == "power":
             power_function(self.c)
+        elif self.kind not in _STEPS:
+            raise DomainError(f"unknown psi kind {self.kind!r}")
 
     @staticmethod
     def power(c: float) -> "PsiSpec":
@@ -95,14 +99,8 @@ class PsiSpec:
         return PsiSpec("step1")
 
     def __call__(self, lam):
-        x = np.asarray(lam, dtype=float)
-        if self.kind == "power":
-            out = power_function(self.c).evaluator(x)
-        elif self.kind == "step0":
-            out = np.where(x > 0.0, 1.0, 0.0)
-        else:
-            out = np.where(x == 1.0, 1.0, 0.0)
-        return elementwise(out, lam)
+        ev = power_function(self.c).evaluator if self.kind == "power" else _STEPS[self.kind]
+        return elementwise(ev(np.asarray(lam, dtype=float)), lam)
 
     def describe(self) -> str:
         if self.kind == "power":
@@ -577,8 +575,8 @@ def fit_power_exponent(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
 
 
 #: A power fit reads lam in [0.1, 0.9] only (the endpoints are forced and
-#: the log fit is singular at 0). It accepts y = x^c when c > 0 and x^c lies
-#: within POWER_FIT_TOL of every sample.
+#: the log fit is singular at 0). It accepts y = x^c when x^c lies within
+#: POWER_FIT_TOL of every sample and ``power_function`` accepts c.
 POWER_FIT_TOL = 1e-6
 
 
@@ -590,8 +588,6 @@ def _power_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, str]:
     """The power-fit rule of psi recovery and of section labels:
     (c, residual, why not), where ``why not`` is "" for an accepted fit."""
     c, resid = fit_power_exponent(xs, ys)
-    if not c > 0.0:
-        return c, resid, f"fitted exponent {c:g} is not positive"
     if not resid <= POWER_FIT_TOL:
         return c, resid, f"power fit residual {resid:g} above {POWER_FIT_TOL:g}"
     try:

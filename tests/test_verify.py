@@ -38,7 +38,7 @@ from qhagg import (
     unit_function_from_expr,
 )
 from qhagg.algebra import AggregationFunction, UnitFunction
-from qhagg.verify import ClassificationReport, _scaling_rhs
+from qhagg.verify import POWER_FIT_TOL, ClassificationReport, _power_fit, _scaling_rhs
 
 GRID = make_grid(100)
 G50 = make_grid(50)
@@ -379,6 +379,12 @@ class TestRecoverPsi:
         rec = recover_psi(A, PhiSpec.identity(), grid=make_grid(10))
         assert rec.fitted is None
         assert rec.note.startswith("power exponent is too small")
+
+    def test_a_decreasing_power_is_refused_by_power_function(self):
+        xs = np.linspace(0.1, 0.9, 9)
+        c, resid, why_not = _power_fit(xs, xs ** -0.5)
+        assert c == pytest.approx(-0.5) and resid <= POWER_FIT_TOL
+        assert why_not.startswith("power exponent must be positive, got -0.5")
 
     def test_mismatched_phi_reports_no_fit(self):
         rec = recover_psi(mean_function(),
