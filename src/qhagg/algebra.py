@@ -97,18 +97,25 @@ def identity() -> UnitFunction:
 
 
 def power_function(c: float) -> UnitFunction:
-    """x^c on [0, 1]; a continuous bijection for every finite c > 0 large
-    enough that 0.5^c < 1 (below about 8e-17, x^c rounds to a step). The one
-    home of x^c and of its exponent rules. Its inverse extends past 1, and
-    gives NaN for a negative target, which has no preimage."""
-    if not c > 0:
+    """x^c on [0, 1]; a continuous bijection for every finite c > 0 with
+    0.5^c < 1 and 0.5^(1/c) < 1 (outside about 8e-17 to 1.2e16, x^c or its
+    inverse rounds to a step). The one home of x^c and of its exponent
+    rules. c is read as a float once. Its inverse extends past 1, and gives
+    NaN for a negative target, which has no preimage."""
+    try:
+        e = c + 0.0  # c as a float, by arithmetic: text is refused, never parsed
+    except OverflowError:
+        raise DomainError("power exponent is too large for a float") from None
+    if not e > 0:
         raise DomainError(f"power exponent must be positive, got {c}")
-    if c == np.inf:
+    if e == np.inf:
         raise DomainError(f"power exponent must be finite, got {c}")
-    if 0.5 ** c == 1.0:
+    if 0.5 ** e == 1.0:
         raise DomainError(f"power exponent is too small: x^c rounds to 1 at x = 0.5, got {c}")
-    return _bijection(lambda x, c=c: np.power(x, c),
-                      lambda y, e=1.0 / c: np.power(np.where(y < 0.0, np.nan, y), e), f"x^{c:g}")
+    if 0.5 ** (1.0 / e) == 1.0:
+        raise DomainError(f"power exponent is too large: x^(1/c) rounds to 1 at x = 0.5, got {c}")
+    return _bijection(lambda x, e=e: np.power(x, e),
+                      lambda y, r=1.0 / e: np.power(np.where(y < 0.0, np.nan, y), r), f"x^{c:g}")
 
 
 def bounded_rational() -> UnitFunction:

@@ -200,15 +200,58 @@ class TestLoadGridCsv:
      "power exponent is too small: x^c rounds to 1 at x = 0.5, got 1e-300"),
     (lambda: check_homogeneous_order(catalog_lookup("product"), 1e-300, grid=G10),
      "power exponent is too small: x^c rounds to 1 at x = 0.5, got 1e-300"),
+    (lambda: power_function(1e300),
+     "power exponent is too large: x^(1/c) rounds to 1 at x = 0.5, got 1e+300"),
+    (lambda: PsiSpec.power(1e300),
+     "power exponent is too large: x^(1/c) rounds to 1 at x = 0.5, got 1e+300"),
+    (lambda: PhiSpec.power(1e18),
+     "power exponent is too large: x^(1/c) rounds to 1 at x = 0.5, got 1e+18"),
+    (lambda: PhiSpec.inverse_of(identity(), 1e18),
+     "power exponent is too large: x^(1/c) rounds to 1 at x = 0.5, got 1e+18"),
+    (lambda: check_homogeneous_order(catalog_lookup("product"), 1e300, grid=G10),
+     "power exponent is too large: x^(1/c) rounds to 1 at x = 0.5, got 1e+300"),
+    (lambda: power_function(10**400), "power exponent is too large for a float"),
+    (lambda: PsiSpec("power", 10**400), "power exponent is too large for a float"),
+    (lambda: check_homogeneous_order(catalog_lookup("product"), 10**400, grid=G10),
+     "power exponent is too large for a float"),
 ], ids=["power_function(0)", "inverse_of(identity(), 0)", "from_expr('x', b=2.0)",
         "power_function(inf)", "PhiSpec.power(inf)", "inverse_of(identity(), inf)",
         "PsiSpec.power(inf)", "check_homogeneous_order(F, inf)",
         "power_function(1e-300)", "PsiSpec.power(5e-324)", "PhiSpec.power(1e-17)",
-        "inverse_of(identity(), 1e-300)", "check_homogeneous_order(F, 1e-300)"])
+        "inverse_of(identity(), 1e-300)", "check_homogeneous_order(F, 1e-300)",
+        "power_function(1e300)", "PsiSpec.power(1e300)", "PhiSpec.power(1e18)",
+        "inverse_of(identity(), 1e18)", "check_homogeneous_order(F, 1e300)",
+        "power_function(10**400)", "PsiSpec('power', 10**400)",
+        "check_homogeneous_order(F, 10**400)"])
 def test_out_of_domain_parameter_is_a_domain_error(call, text):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == text
+
+
+def test_a_large_finite_exponent_still_builds():
+    # x^(1/c) at 0.5 is 1 - 6.9e-16 here, one step short of the rule
+    u = power_function(1e15)
+    assert u.continuous_bijection and u.invert(0.5) < 1.0
+    assert PsiSpec.power(1e15)(0.5) == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_an_integer_exponent_gives_the_bits_of_its_float(k):
+    # power_function reads c as a float once; no exponent changes type on the way
+    p = make_grid(50).points
+    np.testing.assert_array_equal(PsiSpec("power", k)(p).view(np.uint64),
+                                  PsiSpec.power(float(k))(p).view(np.uint64))
+    np.testing.assert_array_equal(power_function(k).invert(p).view(np.uint64),
+                                  power_function(float(k)).invert(p).view(np.uint64))
+    F = catalog_lookup("product")
+    assert str(check_homogeneous_order(F, k, grid=G10)) == str(
+        check_homogeneous_order(F, float(k), grid=G10))
+
+
+def test_text_is_not_read_as_an_exponent():
+    with pytest.raises(TypeError):
+        power_function("2")
 
 
 def test_an_overflowing_psi_exponent_is_a_usage_error(capsys):
@@ -226,6 +269,16 @@ def test_a_vanishing_psi_exponent_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         2, "", "error: power exponent is too small: x^c rounds to 1 at x = 0.5, got 1e-300\n")
+
+
+def test_a_huge_psi_exponent_is_a_usage_error(capsys):
+    # x^1e300 rounds to a step at one; it ran a sweep and exited 1
+    code = main(["check", "--fn", "product", "--mode", "qh", "--psi", "power:c=1e300",
+                 "--grid", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: power exponent is too large: x^(1/c) rounds to 1 at x = 0.5, "
+        "got 1e+300\n")
 
 
 # -- generated expression inputs --------------------------------------------
