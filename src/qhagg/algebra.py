@@ -98,7 +98,7 @@ def identity() -> UnitFunction:
 
 def power_function(c: float) -> UnitFunction:
     """x^c on [0, 1]; a continuous bijection for every finite c > 0 with
-    0.5^c < 1 and 0.5^(1/c) < 1 (outside about 8e-17 to 1.2e16, x^c or its
+    0.5^c < 1 and 0.5^(1/c) < 1 (outside about 8e-17 to 1.25e16, x^c or its
     inverse rounds to a step). The one home of x^c and of its exponent
     rules. c is read as a float once. Its inverse extends past 1, and gives
     NaN for a negative target, which has no preimage."""
