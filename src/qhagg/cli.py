@@ -25,7 +25,7 @@ from . import verify
 from .algebra import AggregationFunction, aggregation_from_combiner, unit_function_from_expr
 from .construct import GeneratorTriple, catalog_describe, catalog_lookup, from_triple
 from .errors import QhaggError
-from .numerics import DEFAULT_GRID_N, make_grid
+from .numerics import DEFAULT_GRID_N, make_grid, tolerance
 from .verify import PhiSpec, PsiSpec
 
 # ----------------------------------------------------------- function specs
@@ -145,12 +145,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.tol is not None and not args.tol >= 0.0:
-        raise QhaggError(f"--tol must be a number >= 0, got {args.tol!r}")
+    # the default tolerances live in the library
+    tol = {} if args.tol is None else {"tol": tolerance(args.tol, "--tol")}
     A = build_aggregation(spec_from_args(args), validate=False)
     grid = make_grid(args.grid)
-    # the default tolerances live in the library
-    tol = {} if args.tol is None else {"tol": args.tol}
 
     if args.mode == "agg":
         report = verify.check_aggregation(A, grid=grid, **tol)

@@ -32,7 +32,8 @@ import numpy as np
 
 from .algebra import AggregationFunction, UnitFunction, diagonal, identity, unit_function_from_expr
 from .errors import ContractError, DomainError
-from .numerics import Grid, default_grid, distinct, first_fall, first_witness, inverse_evaluator
+from .numerics import (Grid, default_grid, distinct, first_fall, first_witness, inverse_evaluator,
+                       tolerance)
 
 __all__ = [
     "GeneratorTriple",
@@ -114,6 +115,7 @@ def validate_triple(t: GeneratorTriple, grid: Grid | None = None,
     may diverge as x -> 0: at consecutive grid points, then, if those hold,
     at every ratio x/y, 0 < x <= y, at which the formula reads g and h.
     """
+    tol = tolerance(tol)
     g = grid or default_grid()
     p = g.points
 

@@ -60,7 +60,8 @@ def make_grid(n: int) -> Grid:
     Exact endpoints matter: the discontinuous canonical classes live
     precisely on the boundary of the unit square, so it must be sampled
     without offset. n is read as an integer (``operator.index``), so a
-    float, even an integral one, is refused.
+    float, even an integral one, is refused. So is an n past
+    ``MAX_GRID_N``, whose n+1 float64 points numpy cannot size.
     """
     try:
         n = operator.index(n)
@@ -68,14 +69,32 @@ def make_grid(n: int) -> Grid:
         raise DomainError(f"grid resolution must be an integer, got {n!r}") from None
     if n < 1:
         raise DomainError(f"grid resolution must be >= 1, got {n}")
+    if n > MAX_GRID_N:
+        raise DomainError(f"grid resolution must be <= {MAX_GRID_N}, got {n}")
     return Grid(points=np.arange(n + 1) / n, n=n)
 
 
 DEFAULT_GRID_N = 100
+#: the largest resolution whose n+1 float64 points numpy can size
+MAX_GRID_N = np.iinfo(np.intp).max // 8 - 1
 
 
 def default_grid() -> Grid:
     return make_grid(DEFAULT_GRID_N)
+
+
+def tolerance(tol, name: str = "tol") -> float:
+    """tol as a float, read once by arithmetic (text is refused, never
+    parsed): a number >= 0, with 0, -0.0 and inf admitted. NaN, a negative
+    number and an int too large for a float are a ``DomainError`` naming
+    ``name``."""
+    try:
+        t = tol + 0.0
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a float") from None
+    if not t >= 0.0:
+        raise DomainError(f"{name} must be a number >= 0, got {tol!r}")
+    return t
 
 
 def first_witness(values, violation) -> tuple[int, ...] | None:

@@ -29,7 +29,7 @@ from .construct import boundary_formula, flat_formula, triple_of
 from .errors import ContractError, DomainError
 from .exprparse import eval_expr, parse_expr
 from .numerics import (Grid, default_grid, distinct, elementwise, first_fall, first_witness,
-                       inverse_evaluator, make_grid, pinned_inverse)
+                       inverse_evaluator, make_grid, pinned_inverse, tolerance)
 
 __all__ = [
     "PsiSpec",
@@ -324,6 +324,7 @@ def check_aggregation(A: AggregationFunction, grid: Grid | None = None,
     Failures carry the first witness pair in deterministic grid order
     (x-direction violations scanned before y-direction).
     """
+    tol = tolerance(tol)
     g = grid or default_grid()
     return _aggregation_report(_sample(A.evaluator, g.points), g, tol)
 
@@ -404,6 +405,7 @@ def check_quasi_homogeneity(A: AggregationFunction, phi: PhiSpec, psi: PsiSpec,
     the cube. Any other row inverts phi once per distinct value of A on
     the base grid.
     """
+    tol = tolerance(tol)
     g = grid or default_grid()
     return _sweep(A.evaluator, _scaling_rhs(phi, psi, _sample(A.evaluator, g.points)), g, tol,
                   f"quasi-homogeneity psi={psi.describe()} phi={phi.name}")
@@ -528,6 +530,7 @@ def check_multiplicative(psi, grid: Grid | None = None,
 
     Accepts a PsiSpec, a UnitFunction, or any elementwise callable.
     """
+    tol = tolerance(tol)
     g = grid or default_grid()
     p = g.points
     P = p[:, None] * p[None, :]
@@ -550,6 +553,7 @@ def check_homogeneous_order(F, k: float, grid: Grid | None = None,
     ``F`` is an AggregationFunction or any elementwise bivariate callable
     (for example a composite like diagonal_inv o A); lam^k is ``power_function(k)``.
     """
+    tol = tolerance(tol)
     p, g = power_function(k), grid or default_grid()
     base = _sample(F, g.points)
     return _sweep(F, lambda L: p.evaluator(L) * base, g, tol, f"homogeneity of order {k:g}")
@@ -665,6 +669,7 @@ def diagonal_bijection_check(delta: UnitFunction, grid: Grid | None = None,
     jumps. A declared continuous_bijection flag on the input is evidence
     enough to skip nothing here; checks always run.
     """
+    tol = tolerance(tol)
     g = grid or default_grid()
     return _diagonal_report(delta(g.points), g, tol)
 
@@ -807,6 +812,7 @@ def classify(A: AggregationFunction, grid: Grid | None = None,
     re-verifying ``canonical_pair(report)`` reuses them; they are freed
     with the report. Each call builds its own ``delta``.
     """
+    tol = tolerance(tol)
     g = grid or default_grid()
     if g.n < 2:
         raise DomainError(

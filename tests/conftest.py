@@ -14,7 +14,12 @@ the sampled population is deterministic.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import subprocess
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from qhagg import (
     GeneratorTriple,
     UnitFunction,
     bounded_rational,
+    cli,
     identity,
     make_grid,
     numerics,
@@ -41,6 +47,26 @@ try:
         import hypothesis.extra._patching  # noqa: F401
 except ImportError:  # without libcst the plugin skips the report's patch
     pass
+
+
+#: argparse wraps help and usage at the terminal width; every CLI run pins it
+COLUMNS = "80"
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``qhagg ARGS`` in this process: ``cli.main(ARGS)`` with ``COLUMNS``
+    pinned and both streams captured. An argparse ``SystemExit`` (a usage
+    error, ``--help``) gives its code; any other exception propagates,
+    where a process would print a traceback and exit 1.
+    ``tests/test_cli_process.py`` pins that a process prints the same."""
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, {"COLUMNS": COLUMNS}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(["qhagg", *args], code, out.getvalue(), err.getvalue())
 
 
 def convex_with_identity(u: UnitFunction, w: float) -> UnitFunction:

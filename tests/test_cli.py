@@ -5,15 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import run_cli
 from test_cli_golden import GOLDEN
 
 from qhagg import catalog_lookup, classify, cli, make_grid
 from qhagg.cli import build_aggregation, load_grid_csv
-
-
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "qhagg", *args],
-                          capture_output=True, text=True)
 
 
 class TestEval:
@@ -166,6 +162,15 @@ class TestCheck:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error: grid too large")
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("n", ["4611686018427387903", "9223372036854775807",
+                                   "18446744073709551616"])
+    def test_a_grid_numpy_cannot_size_is_a_usage_error(self, n):
+        res = run_cli("check", "--fn", "product", "--mode", "agg", "--grid", n)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: grid resolution must be <= ")
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("mode", ["agg", "qh", "classify"])

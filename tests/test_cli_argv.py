@@ -7,15 +7,14 @@ and the ``--flag=value`` spelling. Every call returns or exits 0, 1 or 2,
 raises nothing else, and writes no traceback to stderr.
 """
 
-import contextlib
-import io
 import json
 import re
 
+from conftest import run_cli
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qhagg import catalog_names, cli
+from qhagg import catalog_names
 
 JUNK = st.sampled_from(["", "-", "--", "-x", "-1e-3", "-inf", "inf", "nan", "-h", "x^",
                         "1/0", "(x", "abc", "=", "1e999", "0x10", "-0.5", "2"])
@@ -113,13 +112,8 @@ def run_main(tmp_path, argv):
     paths = {key: str(tmp_path / key[1:])
              for key in [*SPEC_FILES, "@badjson", "@missing", "@out"]}
     paths["@dir"] = str(tmp_path)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main([re.sub(r"@\w+", lambda m: paths[m[0]], tok) for tok in argv])
-        except SystemExit as exc:
-            code = exc.code
-    return code, err.getvalue()
+    res = run_cli(*[re.sub(r"@\w+", lambda m: paths[m[0]], tok) for tok in argv])
+    return res.returncode, res.stderr
 
 
 @settings(max_examples=100, deadline=None,

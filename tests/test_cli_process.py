@@ -1,9 +1,10 @@
 """A ``qhagg`` process prints what ``cli.main`` prints.
 
 Each argv runs twice: as ``python -m qhagg ARGV`` in a child process, and
-as ``cli.main(ARGV)`` in this one. The exit code, stdout and stderr must
-be identical, on every exit path (a pass, a refutation, a library error,
-an argparse usage error, ``--help``). A dump of several MiB written to a
+in this one through ``conftest.run_cli``, the runner every other CLI test
+uses, so these cases pin that runner too. The exit code, stdout and
+stderr must be identical, on every exit path (a pass, a refutation, a
+library error, an argparse usage error, ``--help``). A dump of several MiB written to a
 regular file must arrive whole, byte for byte as ``--out`` writes it.
 ``cli.run``, the process entry point, ends the process with main's code
 and leaves an argparse ``SystemExit`` to the interpreter's normal exit.
@@ -16,11 +17,9 @@ import subprocess
 import sys
 
 import pytest
+from conftest import COLUMNS, run_cli
 
 from qhagg import cli
-
-#: argparse wraps help and usage at the terminal width; pin it for both runs
-COLUMNS = "80"
 
 ARGVS = {
     "check-pass": ["check", "--fn", "product", "--mode", "agg", "--grid", "4"],
@@ -41,22 +40,17 @@ def child_env() -> dict:
     return {**os.environ, "COLUMNS": COLUMNS}
 
 
-def in_process(argv, capsys) -> tuple[int, str, str]:
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse: usage errors and --help
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def in_process(argv) -> tuple[int, str, str]:
+    res = run_cli(*argv)
+    return res.returncode, res.stdout, res.stderr
 
 
 @pytest.mark.parametrize("case", list(ARGVS))
-def test_the_process_prints_what_main_prints(case, capsys, monkeypatch):
+def test_the_process_prints_what_main_prints(case):
     argv = ARGVS[case]
     child = subprocess.run([sys.executable, "-m", "qhagg", *argv], env=child_env(),
                            capture_output=True, text=True)
-    monkeypatch.setenv("COLUMNS", COLUMNS)
-    code, out, err = in_process(argv, capsys)
+    code, out, err = in_process(argv)
     assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
     assert code == EXIT_CODES[case]
 

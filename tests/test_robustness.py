@@ -33,7 +33,7 @@ from qhagg import (
 from qhagg.algebra import COMBINERS, AggregationFunction, UnitFunction
 from qhagg.cli import build_aggregation, load_grid_csv, main
 from qhagg.exprparse import eval_expr, parse_expr
-from qhagg.numerics import bisect_increasing
+from qhagg.numerics import MAX_GRID_N, bisect_increasing
 from qhagg.verify import ClassificationReport
 
 G10 = make_grid(10)
@@ -214,6 +214,31 @@ class TestLoadGridCsv:
     (lambda: PsiSpec("power", 10**400), "power exponent is too large for a float"),
     (lambda: check_homogeneous_order(catalog_lookup("product"), 10**400, grid=G10),
      "power exponent is too large for a float"),
+    (lambda: make_grid(2**62 - 1), f"grid resolution must be <= {MAX_GRID_N}, got {2**62 - 1}"),
+    (lambda: make_grid(2**63 - 1), f"grid resolution must be <= {MAX_GRID_N}, got {2**63 - 1}"),
+    (lambda: make_grid(10**400), f"grid resolution must be <= {MAX_GRID_N}, got {10**400}"),
+    (lambda: classify(catalog_lookup("product"), grid=make_grid(8), tol=np.nan),
+     "tol must be a number >= 0, got nan"),
+    (lambda: classify(catalog_lookup("product"), grid=make_grid(8), tol=-1),
+     "tol must be a number >= 0, got -1"),
+    (lambda: classify(catalog_lookup("product"), grid=make_grid(8), tol=10**400),
+     "tol is too large for a float"),
+    (lambda: check_aggregation(catalog_lookup("product"), grid=G10, tol=10**400),
+     "tol is too large for a float"),
+    (lambda: check_aggregation(catalog_lookup("product"), grid=G10, tol=np.nan),
+     "tol must be a number >= 0, got nan"),
+    (lambda: check_quasi_homogeneity(catalog_lookup("product"), PhiSpec.identity(),
+                                     PsiSpec.power(1), grid=G10, tol=-1e-300),
+     "tol must be a number >= 0, got -1e-300"),
+    (lambda: check_multiplicative(PsiSpec.power(2), grid=G10, tol=np.nan),
+     "tol must be a number >= 0, got nan"),
+    (lambda: check_homogeneous_order(catalog_lookup("product"), 2, grid=G10, tol=-1),
+     "tol must be a number >= 0, got -1"),
+    (lambda: diagonal_bijection_check(identity(), grid=G10, tol=-np.inf),
+     "tol must be a number >= 0, got -inf"),
+    (lambda: validate_triple(GeneratorTriple(f=identity(), g=identity(), h=identity()),
+                             grid=G10, tol=np.nan),
+     "tol must be a number >= 0, got nan"),
 ], ids=["power_function(0)", "inverse_of(identity(), 0)", "from_expr('x', b=2.0)",
         "power_function(inf)", "PhiSpec.power(inf)", "inverse_of(identity(), inf)",
         "PsiSpec.power(inf)", "check_homogeneous_order(F, inf)",
@@ -222,11 +247,36 @@ class TestLoadGridCsv:
         "power_function(1e300)", "PsiSpec.power(1e300)", "PhiSpec.power(1e18)",
         "inverse_of(identity(), 1e18)", "check_homogeneous_order(F, 1e300)",
         "power_function(10**400)", "PsiSpec('power', 10**400)",
-        "check_homogeneous_order(F, 10**400)"])
+        "check_homogeneous_order(F, 10**400)", "make_grid(2**62 - 1)", "make_grid(2**63 - 1)",
+        "make_grid(10**400)", "classify(tol=nan)", "classify(tol=-1)", "classify(tol=10**400)",
+        "check_aggregation(tol=10**400)", "check_aggregation(tol=nan)",
+        "check_quasi_homogeneity(tol=-1e-300)", "check_multiplicative(tol=nan)",
+        "check_homogeneous_order(tol=-1)", "diagonal_bijection_check(tol=-inf)",
+        "validate_triple(tol=nan)"])
 def test_out_of_domain_parameter_is_a_domain_error(call, text):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == text
+
+
+@pytest.mark.parametrize("tol", [0, -0.0, np.inf])
+def test_zero_and_infinite_tol_are_admitted_by_every_check(tol):
+    F, g = catalog_lookup("product"), make_grid(8)
+    reports = [
+        check_aggregation(F, grid=g, tol=tol),
+        check_quasi_homogeneity(F, PhiSpec.identity(), PsiSpec.power(2), grid=g, tol=tol),
+        check_multiplicative(PsiSpec.power(2), grid=g, tol=tol),
+        check_homogeneous_order(F, 2, grid=g, tol=tol),
+        diagonal_bijection_check(identity(), grid=g, tol=tol),
+        classify(F, grid=g, tol=tol),
+        validate_triple(GeneratorTriple(f=identity(), g=identity(), h=identity()),
+                        grid=g, tol=tol),
+    ]
+    assert [r.tol for r in reports] == [float(tol)] * 7
+
+
+def test_a_grid_of_a_million_intervals_still_builds():
+    assert len(make_grid(10**6).points) == 10**6 + 1
 
 
 def test_a_large_finite_exponent_still_builds():
